@@ -31,7 +31,7 @@ struct ReportMeta {
 
 /// Sweep-resilience summary for the report's "sweep" section: how many
 /// points survived, which failed (with a replay command), and what the
-/// cache/journal layer had to absorb. Statuses are the to_string() names of
+/// cache layer had to absorb. Statuses are the to_string() names of
 /// bench::PointStatus, kept as strings so the report layer stays decoupled
 /// from the engine.
 struct SweepReport {

@@ -41,9 +41,14 @@ class SimBackend final : public ExecutionBackend {
   std::uint32_t max_threads() const override;
   double freq_ghz() const override { return config_.freq_ghz; }
   /// Machine fingerprint + measurement windows: everything besides the
-  /// workload and seed that determines a simulated result.
+  /// workload and seed that determines a simulated result. Line profiling
+  /// and the epoch sampler add content (hot_lines, epochs), so they join
+  /// the identity when on; with both off it is sim_backend_cache_identity().
   std::string cache_identity() const override {
-    return sim_backend_cache_identity(config_, options_);
+    std::string id = sim_backend_cache_identity(config_, options_);
+    if (profile_lines_) id += ";lines";
+    if (epoch_cycles_ > 0) id += ";epoch=" + std::to_string(epoch_cycles_);
+    return id;
   }
   /// Seed this backend XORs into every run's machine seed.
   std::uint64_t seed() const noexcept { return seed_; }

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <bit>
+#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <filesystem>
@@ -10,7 +11,7 @@
 #include <stdexcept>
 #include <thread>
 
-#include "bench_core/sweep_journal.hpp"
+#include "bench_core/sweep_io.hpp"
 #include "common/json.hpp"
 #include "obs/metrics.hpp"
 #include "sim/machine.hpp"
@@ -56,10 +57,8 @@ obs::metrics::Counter& point_status_counter(PointStatus s) {
   return unknown;
 }
 
-/// Where an ok result came from: fresh execution or one of the reuse tiers.
-enum class PointSource { kExecuted, kCache, kJournal };
-
-obs::metrics::Counter& point_source_counter(PointSource s) {
+/// Where an ok result came from: fresh execution or the result cache.
+obs::metrics::Counter& point_source_counter(bool from_cache) {
   namespace m = obs::metrics;
   const auto make = [](const char* src) -> m::Counter& {
     return m::default_registry().counter(
@@ -67,20 +66,9 @@ obs::metrics::Counter& point_source_counter(PointSource s) {
         "Successful sweep-point results, by source",
         {{"source", src}});
   };
-  switch (s) {
-    case PointSource::kCache: {
-      static m::Counter& c = make("cache");
-      return c;
-    }
-    case PointSource::kJournal: {
-      static m::Counter& c = make("journal");
-      return c;
-    }
-    case PointSource::kExecuted:
-      break;
-  }
-  static m::Counter& c = make("executed");
-  return c;
+  static m::Counter& cache = make("cache");
+  static m::Counter& executed = make("executed");
+  return from_cache ? cache : executed;
 }
 
 }  // namespace
@@ -155,29 +143,42 @@ void kv_u64_array(JsonWriter& w, std::string_view key, const std::uint64_t* v,
   w.end_array();
 }
 
-std::uint64_t get_u64(const JsonValue& obj, std::string_view key) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr || v->type() != JsonValue::Type::kNumber) {
-    throw std::runtime_error("sweep cache: missing field");
-  }
-  return static_cast<std::uint64_t>(v->as_number());
+[[noreturn]] void bad_field(std::string_view key) {
+  throw std::runtime_error("sweep cache: bad field " + std::string(key));
 }
 
-double get_bits(const JsonValue& obj, std::string_view key) {
+/// A count: a JSON number that is a non-negative integer below 2^64.
+/// Anything else would make the cast undefined or reinterpret the value.
+std::uint64_t to_u64(const JsonValue* v, std::string_view key) {
+  if (v == nullptr || v->type() != JsonValue::Type::kNumber) bad_field(key);
+  const double d = v->as_number();
+  if (!(d >= 0.0 && d < 0x1p64) || std::trunc(d) != d) bad_field(key);
+  return static_cast<std::uint64_t>(d);
+}
+
+std::uint64_t get_u64(const JsonValue& obj, std::string_view key) {
+  return to_u64(obj.find(key), key);
+}
+
+const std::string& get_string(const JsonValue& obj, std::string_view key) {
   const JsonValue* v = obj.find(key);
-  if (v == nullptr || v->type() != JsonValue::Type::kString) {
-    throw std::runtime_error("sweep cache: missing bits field");
+  if (v == nullptr || v->type() != JsonValue::Type::kString) bad_field(key);
+  return v->as_string();
+}
+
+/// A double stored as the 16 hex digits of its bit pattern (kv_bits).
+double get_bits(const JsonValue& obj, std::string_view key) {
+  const std::string& hex = get_string(obj, key);
+  if (hex.size() != 16 ||
+      hex.find_first_not_of("0123456789abcdef") != std::string::npos) {
+    bad_field(key);
   }
-  const std::uint64_t bits =
-      std::strtoull(v->as_string().c_str(), nullptr, 16);
-  return std::bit_cast<double>(bits);
+  return std::bit_cast<double>(std::strtoull(hex.c_str(), nullptr, 16));
 }
 
 bool get_bool(const JsonValue& obj, std::string_view key) {
   const JsonValue* v = obj.find(key);
-  if (v == nullptr || v->type() != JsonValue::Type::kBool) {
-    throw std::runtime_error("sweep cache: missing bool field");
-  }
+  if (v == nullptr || v->type() != JsonValue::Type::kBool) bad_field(key);
   return v->as_bool();
 }
 
@@ -186,18 +187,14 @@ void fill_u64_array(const JsonValue& obj, std::string_view key,
                     std::array<std::uint64_t, N>& out) {
   const JsonValue* v = obj.find(key);
   if (v == nullptr || v->type() != JsonValue::Type::kArray || v->size() != N) {
-    throw std::runtime_error("sweep cache: bad array field");
+    bad_field(key);
   }
-  for (std::size_t i = 0; i < N; ++i) {
-    out[i] = static_cast<std::uint64_t>(v->at(i)->as_number());
-  }
+  for (std::size_t i = 0; i < N; ++i) out[i] = to_u64(v->at(i), key);
 }
 
 const JsonValue& require_array(const JsonValue& obj, std::string_view key) {
   const JsonValue* v = obj.find(key);
-  if (v == nullptr || v->type() != JsonValue::Type::kArray) {
-    throw std::runtime_error("sweep cache: missing array");
-  }
+  if (v == nullptr || v->type() != JsonValue::Type::kArray) bad_field(key);
   return *v;
 }
 
@@ -294,16 +291,17 @@ std::optional<MeasuredRun> parse_measured_run(const std::string& text,
                                               const std::string& key) {
   const auto doc = JsonValue::parse(text);
   if (!doc.has_value()) return std::nullopt;
+  // Every field is type- and range-checked: a truncated, hand-edited or
+  // foreign file parses to nullopt (and the caller quarantines it) instead
+  // of crashing the sweep or being read back as different numbers.
   try {
-    const JsonValue* v = doc->find("v");
-    const JsonValue* k = doc->find("key");
-    if (v == nullptr || v->as_string() != kSweepCacheVersion ||
-        k == nullptr || k->as_string() != key) {
+    if (get_string(*doc, "v") != kSweepCacheVersion ||
+        get_string(*doc, "key") != key) {
       return std::nullopt;
     }
     MeasuredRun r;
-    r.backend = doc->find("backend")->as_string();
-    r.machine = doc->find("machine")->as_string();
+    r.backend = get_string(*doc, "backend");
+    r.machine = get_string(*doc, "machine");
     r.duration_cycles = get_bits(*doc, "duration_cycles");
     r.freq_ghz = get_bits(*doc, "freq_ghz");
     for (const JsonValue& jt : require_array(*doc, "threads").items()) {
@@ -403,7 +401,6 @@ struct SweepEngine::Point {
   MeasuredRun result;
   bool has_result = false;
   bool from_cache = false;
-  bool from_journal = false;
   PointStatus status = PointStatus::kOk;
   std::string message;  ///< failure description when status != kOk
 };
@@ -418,13 +415,11 @@ struct SweepEngine::Impl {
   std::size_t flushed = 0;    ///< points merged into the global run log
   std::size_t executed = 0;   ///< cache misses + tasks actually run
   std::size_t cache_hits = 0;
-  std::size_t journal_hits = 0;
   std::size_t quarantined = 0;
   std::uint64_t cache_io_errors = 0;
   bool io_warning_emitted = false;
   bool stop = false;
   std::vector<std::thread> workers;
-  sweep::SweepJournal journal;
 };
 
 SweepEngine::SweepEngine(BackendFactory factory, SweepOptions options)
@@ -433,13 +428,7 @@ SweepEngine::SweepEngine(BackendFactory factory, SweepOptions options)
       jobs_(options_.jobs != 0
                 ? options_.jobs
                 : std::max(1u, std::thread::hardware_concurrency())),
-      impl_(std::make_unique<Impl>()) {
-  if (!options_.journal_path.empty() && options_.replay_point < 0) {
-    if (!impl_->journal.open(options_.journal_path)) {
-      ++impl_->cache_io_errors;  // degrade: run unjournaled, warn at drain()
-    }
-  }
-}
+      impl_(std::make_unique<Impl>()) {}
 
 SweepEngine::~SweepEngine() {
   {
@@ -522,10 +511,7 @@ void SweepEngine::worker_loop() {
     if (obs::metrics::enabled()) {
       point_status_counter(point->status).inc();
       if (point->status == PointStatus::kOk) {
-        point_source_counter(point->from_cache     ? PointSource::kCache
-                             : point->from_journal ? PointSource::kJournal
-                                                   : PointSource::kExecuted)
-            .inc();
+        point_source_counter(point->from_cache).inc();
       }
     }
     {
@@ -534,8 +520,6 @@ void SweepEngine::worker_loop() {
       if (point->status == PointStatus::kOk) {
         if (point->from_cache) {
           ++impl_->cache_hits;
-        } else if (point->from_journal) {
-          ++impl_->journal_hits;
         } else {
           ++impl_->executed;
         }
@@ -562,66 +546,54 @@ void SweepEngine::execute_point(Point& p) {
     std::unique_ptr<ExecutionBackend> backend = factory_(p.seed);
     backend->set_run_recorder(&p.local_log);
 
-    // Replay bypasses cache and journal entirely: the point must re-execute.
+    // Replay bypasses the cache entirely: the point must re-execute.
     std::string cache_path;
     std::string key;
-    if (!replaying) {
+    if (!replaying && !options_.cache_dir.empty()) {
       key = sweep_cache_key(backend->cache_identity(), p.config, p.seed);
     }
     if (!key.empty()) {
-      if (impl_->journal.is_open()) {
-        if (auto journaled = impl_->journal.lookup(key)) {
-          p.result = std::move(*journaled);
-          p.has_result = true;
-          p.from_journal = true;
-          p.local_log.push_back(RecordedRun{p.config, p.result});
-          return;
-        }
-      }
-      if (!options_.cache_dir.empty()) {
-        cache_path = options_.cache_dir + "/" + key + ".json";
-        std::string bytes;
-        switch (sweep::read_file_with_retry(cache_path, bytes)) {
-          case sweep::IoResult::kOk:
-            if (auto cached = parse_measured_run(bytes, key)) {
-              p.result = std::move(*cached);
-              p.has_result = true;
-              p.from_cache = true;
-              p.local_log.push_back(RecordedRun{p.config, p.result});
-              record_in_journal(key, p.result);
-              return;
-            }
-            // Corrupt bytes or a stale/colliding key: quarantine the file
-            // for postmortem and recompute — never trust it again.
-            sweep::quarantine_file(options_.cache_dir, cache_path);
-            {
-              const std::lock_guard<std::mutex> lock(impl_->mu);
-              ++impl_->quarantined;
-            }
-            break;
-          case sweep::IoResult::kMissing:
-            break;
-          case sweep::IoResult::kError: {
-            bool escalate = false;
-            if (sweep::IoFaults* f = sweep::io_faults()) {
-              escalate = f->escalate_read.load(std::memory_order_relaxed);
-            }
-            {
-              const std::lock_guard<std::mutex> lock(impl_->mu);
-              ++impl_->cache_io_errors;
-            }
-            if (escalate) {
-              p.status = PointStatus::kCacheError;
-              p.message = "cache read failed after " +
-                          std::to_string(sweep::kIoAttempts) +
-                          " attempts: " + cache_path;
-              p.local_log.clear();
-              return;
-            }
-            // Degrade: run uncached rather than fail the point.
-            cache_path.clear();
-            break;
+      cache_path = options_.cache_dir + "/" + key + ".json";
+      std::string bytes;
+      switch (sweep::read_file_with_retry(cache_path, bytes)) {
+        case sweep::IoResult::kOk:
+          if (auto cached = parse_measured_run(bytes, key)) {
+            p.result = std::move(*cached);
+            p.has_result = true;
+            p.from_cache = true;
+            p.local_log.push_back(RecordedRun{p.config, p.result});
+            return;
           }
+          // Corrupt bytes or a stale/colliding key: quarantine the file
+          // for postmortem and recompute — never trust it again.
+          sweep::quarantine_file(options_.cache_dir, cache_path);
+          {
+            const std::lock_guard<std::mutex> lock(impl_->mu);
+            ++impl_->quarantined;
+          }
+          break;
+        case sweep::IoResult::kMissing:
+          break;
+        case sweep::IoResult::kError: {
+          bool escalate = false;
+          if (sweep::IoFaults* f = sweep::io_faults()) {
+            escalate = f->escalate_read.load(std::memory_order_relaxed);
+          }
+          {
+            const std::lock_guard<std::mutex> lock(impl_->mu);
+            ++impl_->cache_io_errors;
+          }
+          if (escalate) {
+            p.status = PointStatus::kCacheError;
+            p.message = "cache read failed after " +
+                        std::to_string(sweep::kIoAttempts) +
+                        " attempts: " + cache_path;
+            p.local_log.clear();
+            return;
+          }
+          // Degrade: run uncached rather than fail the point.
+          cache_path.clear();
+          break;
         }
       }
     }
@@ -642,7 +614,6 @@ void SweepEngine::execute_point(Point& p) {
         ++impl_->cache_io_errors;
       }
     }
-    record_in_journal(key, p.result);
   } catch (const sim::PointTimeout& e) {
     p.status = PointStatus::kTimeout;
     p.message = e.what();
@@ -655,15 +626,6 @@ void SweepEngine::execute_point(Point& p) {
     p.status = PointStatus::kSimError;
     p.message = "unknown error";
     p.local_log.clear();
-  }
-}
-
-void SweepEngine::record_in_journal(const std::string& key,
-                                    const MeasuredRun& run) {
-  if (key.empty() || !impl_->journal.is_open()) return;
-  if (!impl_->journal.append(key, run)) {
-    const std::lock_guard<std::mutex> lock(impl_->mu);
-    ++impl_->cache_io_errors;
   }
 }
 
@@ -680,34 +642,13 @@ void SweepEngine::drain() {
     }
     p.local_log.clear();
   }
-  const std::uint64_t io_errors =
-      impl_->cache_io_errors + impl_->journal.io_errors();
-  if (io_errors > 0 && !impl_->io_warning_emitted) {
+  if (impl_->cache_io_errors > 0 && !impl_->io_warning_emitted) {
     impl_->io_warning_emitted = true;
     std::fprintf(stderr,
-                 "warning: sweep: %llu cache/journal I/O error(s); affected "
-                 "points ran uncached (results are unaffected)\n",
-                 static_cast<unsigned long long>(io_errors));
+                 "warning: sweep: %llu cache I/O error(s); affected points "
+                 "ran uncached (results are unaffected)\n",
+                 static_cast<unsigned long long>(impl_->cache_io_errors));
   }
-}
-
-const MeasuredRun& SweepEngine::result(std::size_t index) const {
-  const std::lock_guard<std::mutex> lock(impl_->mu);
-  if (index < impl_->points.size() && impl_->points[index]->has_result) {
-    return impl_->points[index]->result;
-  }
-  std::string why = "not drained or a task";
-  if (index < impl_->points.size()) {
-    const Point& p = *impl_->points[index];
-    if (p.status != PointStatus::kOk) {
-      why = std::string(to_string(p.status)) + ": " + p.message +
-            "; replay: rerun with --jobs=1 --replay-point=" +
-            std::to_string(index);
-    }
-  }
-  throw std::logic_error("SweepEngine::result: point " +
-                         std::to_string(index) + " has no measurement (" +
-                         why + ")");
 }
 
 const MeasuredRun* SweepEngine::result_or_null(std::size_t index) const {
@@ -731,7 +672,6 @@ PointOutcome SweepEngine::outcome(std::size_t index) const {
   out.message = p.message;
   out.seed = p.seed;
   out.from_cache = p.from_cache;
-  out.from_journal = p.from_journal;
   return out;
 }
 
@@ -762,7 +702,7 @@ std::size_t SweepEngine::submitted_points() const {
 
 std::size_t SweepEngine::ok_points() const {
   const std::lock_guard<std::mutex> lock(impl_->mu);
-  return impl_->executed + impl_->cache_hits + impl_->journal_hits;
+  return impl_->executed + impl_->cache_hits;
 }
 
 std::size_t SweepEngine::executed_points() const {
@@ -775,14 +715,9 @@ std::size_t SweepEngine::cache_hits() const {
   return impl_->cache_hits;
 }
 
-std::size_t SweepEngine::journal_hits() const {
-  const std::lock_guard<std::mutex> lock(impl_->mu);
-  return impl_->journal_hits;
-}
-
 std::uint64_t SweepEngine::cache_io_errors() const {
   const std::lock_guard<std::mutex> lock(impl_->mu);
-  return impl_->cache_io_errors + impl_->journal.io_errors();
+  return impl_->cache_io_errors;
 }
 
 std::size_t SweepEngine::quarantined_files() const {

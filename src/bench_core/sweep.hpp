@@ -13,12 +13,15 @@
 //    point_seed(base_seed, i) (a splitmix64-style hash), so any point is
 //    replayable in isolation: build the same backend with that seed, run the
 //    same workload, get the same MeasuredRun.
-//  * Results surface in submission order (drain() + result(i)), never in
-//    completion order.
+//  * Results surface in submission order (drain() + result_or_null(i)),
+//    never in completion order.
 //  * With a result cache attached (SweepOptions::cache_dir), already-computed
 //    points are loaded from disk bit-exactly (doubles round-trip through
 //    their bit patterns), so warm-cache reruns emit byte-identical reports
-//    while simulating nothing.
+//    while simulating nothing. Each point is published durably the moment
+//    it completes (see sweep_io.hpp), so the cache is also the crash-resume
+//    store: rerunning a SIGKILLed or SIGINTed sweep against the same cache
+//    directory executes only the points that never landed.
 #pragma once
 
 #include <cstdint>
@@ -57,7 +60,7 @@ std::string jobs_trace_conflict(std::int64_t jobs, bool trace_requested);
 /// it surfaces as a degraded table row and a failed_points report entry while
 /// every other point completes normally.
 enum class PointStatus : std::uint8_t {
-  kOk,          ///< measured (or served from cache/journal)
+  kOk,          ///< measured (or served from the cache)
   kTimeout,     ///< sim::PointTimeout — watchdog budget or livelock
   kSimError,    ///< simulator/backend/task threw
   kCacheError,  ///< cache I/O failure escalated (IoFaults::escalate_read)
@@ -73,7 +76,6 @@ struct PointOutcome {
   std::string message;  ///< one-line failure description; empty when ok
   std::uint64_t seed = 0;
   bool from_cache = false;
-  bool from_journal = false;
 };
 
 /// Report-facing record of a point that did not produce a measurement.
@@ -94,12 +96,8 @@ struct SweepOptions {
   std::string cache_dir;
   /// Base seed for per-point seed derivation (--base-seed).
   std::uint64_t base_seed = 1;
-  /// Crash-safe completed-point journal (--sweep-journal); empty disables.
-  /// See sweep_journal.hpp — a rerun after SIGKILL/SIGINT skips journaled
-  /// points even with the result cache disabled.
-  std::string journal_path;
-  /// When >= 0, run exactly this submission index (serially, bypassing cache
-  /// and journal) and mark every other point kSkipped — the replay command
+  /// When >= 0, run exactly this submission index (serially, bypassing the
+  /// cache) and mark every other point kSkipped — the replay command
   /// printed for failed points (--replay-point).
   std::int64_t replay_point = -1;
 };
@@ -133,16 +131,12 @@ class SweepEngine {
   /// flushes the recorded runs of the ok points into the process-wide run
   /// log in submission order. Never rethrows point failures — inspect
   /// outcome()/failed_points(). Emits a once-per-sweep stderr warning when
-  /// cache/journal I/O errors degraded the sweep. More points may be
+  /// cache I/O errors degraded the sweep. More points may be
   /// submitted afterwards.
   void drain();
 
-  /// Measurement of workload point @p index; valid after drain(). Throws
-  /// std::logic_error for a failed point — the message carries the outcome
-  /// and a --jobs=1 --replay-point=N replay hint. Prefer result_or_null()
-  /// when degraded rows are acceptable.
-  const MeasuredRun& result(std::size_t index) const;
-  /// Like result(), but nullptr instead of throwing for failed/task points.
+  /// Measurement of workload point @p index, valid after drain(); nullptr
+  /// for failed, skipped and task points (see outcome() for why).
   const MeasuredRun* result_or_null(std::size_t index) const;
   /// How point @p index ended; valid after drain().
   PointOutcome outcome(std::size_t index) const;
@@ -158,10 +152,8 @@ class SweepEngine {
   std::size_t executed_points() const;
   /// Points served from the result cache so far.
   std::size_t cache_hits() const;
-  /// Points served from the crash-recovery journal so far.
-  std::size_t journal_hits() const;
-  /// Cache/journal I/O failures survived so far (the sweep degraded to
-  /// uncached/unjournaled execution instead of failing).
+  /// Cache I/O failures survived so far (the sweep degraded to uncached
+  /// execution instead of failing).
   std::uint64_t cache_io_errors() const;
   /// Corrupt or key-mismatched cache files moved to <cache_dir>/quarantine/.
   std::size_t quarantined_files() const;
@@ -182,7 +174,6 @@ class SweepEngine {
 
   void worker_loop();
   void execute_point(Point& p);
-  void record_in_journal(const std::string& key, const MeasuredRun& run);
 
   BackendFactory factory_;
   SweepOptions options_;

@@ -1,5 +1,6 @@
 #include "common/json.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -274,11 +275,27 @@ class JsonParser {
       if (eat(',')) continue;
       if (eat('}')) {
         --depth_;
-        return true;
+        return unique_keys(out);
       }
       err_ = "expected ',' or '}'";
       return false;
     }
+  }
+
+  // A repeated name would be ambiguous: find() answers with the first
+  // occurrence while other readers take the last. Reject it outright.
+  // Sorting once the object is complete keeps a hostile request with many
+  // members at O(n log n) instead of a pairwise scan.
+  bool unique_keys(const JsonValue& obj) {
+    if (obj.members_.size() < 2) return true;
+    std::vector<std::string_view> names;
+    names.reserve(obj.members_.size());
+    for (const auto& m : obj.members_) names.emplace_back(m.first);
+    std::sort(names.begin(), names.end());
+    const auto dup = std::adjacent_find(names.begin(), names.end());
+    if (dup == names.end()) return true;
+    err_ = "duplicate object key \"" + std::string(*dup) + "\"";
+    return false;
   }
 
   bool parse_array(JsonValue& out) {

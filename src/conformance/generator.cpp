@@ -45,15 +45,6 @@ std::optional<SharingPattern> parse_pattern(const std::string& name) noexcept {
   return std::nullopt;
 }
 
-std::string GenConfig::describe() const {
-  std::ostringstream os;
-  os << "cores=" << cores << " ops=" << ops_per_core << " lines=" << lines
-     << " pattern=" << to_string(pattern) << " zipf=" << zipf_s
-     << " load=" << load_fraction << " store=" << store_fraction
-     << " max-work=" << max_work;
-  return os.str();
-}
-
 std::size_t GeneratedProgram::total_ops() const noexcept {
   std::size_t n = 0;
   for (const auto& script : per_core) n += script.size();

@@ -52,8 +52,6 @@ struct GenConfig {
   /// (random store_value / cas_expected / cas_desired) instead of relying on
   /// the per-core running context.
   double explicit_value_fraction = 0.25;
-
-  std::string describe() const;
 };
 
 /// An explicit multi-core program: per_core[c] is core c's op script.

@@ -6,7 +6,7 @@
 
 #include "bench_core/sim_backend.hpp"
 #include "bench_core/sweep.hpp"
-#include "bench_core/sweep_journal.hpp"
+#include "bench_core/sweep_io.hpp"
 #include "common/json.hpp"
 #include "obs/metrics.hpp"
 #include "sim/config.hpp"

@@ -9,8 +9,10 @@
 //     just the hand-off order) that predicts the mean transfer cost and the
 //     per-core grant shares under any arbitration policy.
 // The token-passing evaluation is still "the model", not the simulator: it
-// abstracts away the coherence protocol, op semantics and timing jitter and
-// costs microseconds to evaluate.
+// abstracts away the coherence protocol, op semantics and timing jitter. It
+// is not cheap, though: its 20000 default steps cost milliseconds per call,
+// growing with N. BouncingModel memoizes it per instance, so a freshly built
+// model pays it again on first use.
 #pragma once
 
 #include <cstdint>

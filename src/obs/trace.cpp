@@ -27,19 +27,6 @@ const char* supply_name(std::uint8_t s) noexcept {
 
 }  // namespace
 
-const char* to_string(TraceEventKind k) noexcept {
-  switch (k) {
-    case TraceEventKind::kIssue: return "issue";
-    case TraceEventKind::kGrant: return "grant";
-    case TraceEventKind::kOpDone: return "done";
-    case TraceEventKind::kRetry: return "retry";
-    case TraceEventKind::kInvalidate: return "inval";
-    case TraceEventKind::kEvict: return "evict";
-    case TraceEventKind::kDrain: return "drain";
-  }
-  return "?";
-}
-
 // ---------------------------------------------------------------------------
 // TextTraceSink
 // ---------------------------------------------------------------------------
@@ -51,7 +38,6 @@ void TextTraceSink::on_event(const TraceEvent& e) {
           << " line=" << e.line << '\n';
       break;
     case TraceEventKind::kGrant:
-      // Historical Machine::set_trace format (plus the queue depth).
       os_ << e.time << " grant line=" << e.line << " -> core" << e.core << ' '
           << supply_name(e.supply) << " xfer=" << e.xfer_cycles
           << " q=" << e.queue_depth << '\n';

@@ -4,10 +4,10 @@
 // which core held a line, how long waiters queued, which supply class
 // served each transfer. TraceSink is the typed seam that exposes that
 // process: the Machine emits one TraceEvent per protocol step and a sink
-// renders them — as human-readable text (TextTraceSink, the historical
-// `set_trace` format) or as Chrome trace-event JSON (ChromeTraceSink)
-// loadable in Perfetto / chrome://tracing, with one track per core, one
-// per touched line, and flow arrows linking each request to its grant.
+// renders them — as human-readable text (TextTraceSink) or as Chrome
+// trace-event JSON (ChromeTraceSink) loadable in Perfetto /
+// chrome://tracing, with one track per core, one per touched line, and flow
+// arrows linking each request to its grant.
 //
 // The layer sits below the simulator: it depends only on POD identifiers
 // (core/line ids are plain integers here), so am_sim can link against it
@@ -35,8 +35,6 @@ enum class TraceEventKind : std::uint8_t {
   kEvict,       ///< a core's copy left the cache for capacity reasons
   kDrain,       ///< a buffered store left the core's store buffer (TSO only)
 };
-
-const char* to_string(TraceEventKind k) noexcept;
 
 /// Structured trace record. Field validity depends on `kind`; unused
 /// fields are zero. Identifiers are plain integers so this header needs
@@ -75,9 +73,8 @@ class TraceSink {
   virtual void on_run_end() {}
 };
 
-/// Human-readable one-line-per-event sink; grant/done lines keep the
-/// historical `Machine::set_trace` format so existing tooling and tests
-/// continue to match.
+/// Human-readable one-line-per-event sink. The format is stable: the
+/// golden traces under tests/sim/golden/ are byte-compared against it.
 class TextTraceSink final : public TraceSink {
  public:
   explicit TextTraceSink(std::ostream& os) : os_(os) {}

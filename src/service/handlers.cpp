@@ -354,8 +354,8 @@ std::string ServiceCore::run_simulate(const PointQuery& q, std::string* error,
   // Trace continuity: a sink in the request context makes the simulator's
   // protocol-level events (issue/grant/done per coherence transaction) land
   // in the same trace file as the server's request span, so a slow simulate
-  // can be drilled into by request id. Cached/journal hits run no machine
-  // and emit nothing — response bytes are identical either way.
+  // can be drilled into by request id. Sweep-cache hits run no machine and
+  // emit nothing — response bytes are identical either way.
   obs::TraceSink* trace = ctx != nullptr ? ctx->trace : nullptr;
   bench::SweepEngine engine(
       [&mc, budget, trace](std::uint64_t seed) {

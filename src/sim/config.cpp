@@ -53,15 +53,6 @@ std::optional<MemoryModel> parse_memory_model(
   return std::nullopt;
 }
 
-const char* to_string(FaultInjection f) noexcept {
-  switch (f) {
-    case FaultInjection::kNone: return "none";
-    case FaultInjection::kLostUpgradeWrite: return "lost-upgrade-write";
-    case FaultInjection::kSkipSharedInvalidate: return "skip-shared-invalidate";
-  }
-  return "?";
-}
-
 std::unique_ptr<Interconnect> MachineConfig::make_interconnect() const {
   auto base = [this]() -> std::unique_ptr<Interconnect> {
     switch (interconnect) {

@@ -31,8 +31,6 @@ enum class FaultInjection : std::uint8_t {
   kSkipSharedInvalidate,
 };
 
-const char* to_string(FaultInjection f) noexcept;
-
 /// Memory-consistency model the machine simulates. kSc is the seed-era
 /// behaviour (every op applies at its completion event, so the global
 /// completion order is sequentially consistent). kTso adds per-core FIFO

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <ostream>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -149,16 +148,6 @@ void Machine::verify_invariants() const {
   for (const LineId id : touched_lines()) {
     check_line_invariants(find_slot(id), id);
   }
-}
-
-void Machine::set_trace(std::ostream* os) {
-  if (os == nullptr) {
-    owned_sink_.reset();
-    sink_ = nullptr;
-    return;
-  }
-  owned_sink_ = std::make_unique<obs::TextTraceSink>(*os);
-  sink_ = owned_sink_.get();
 }
 
 EpochSample* Machine::epoch_at_slow(Cycles t) {

@@ -31,7 +31,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <stdexcept>
 #include <unordered_map>
@@ -152,18 +151,9 @@ class Machine {
   /// Attaches a structured trace sink (nullptr detaches). The machine emits
   /// one obs::TraceEvent per protocol step (issue, grant, op-done, retry,
   /// invalidate, evict); with no sink attached the hot path pays a single
-  /// pointer test per step and nothing else.
-  void set_sink(obs::TraceSink* sink) noexcept {
-    sink_ = sink;
-    owned_sink_.reset();
-  }
-
-  /// Back-compat text tracing: wraps @p os in an obs::TextTraceSink owned by
-  /// the machine (nullptr disables). Grant/done lines keep the historical
-  /// format:
-  ///   <time> grant line=<id> -> core<c> <supply> xfer=<cy> q=<depth>
-  ///   <time> done  core<c> <prim> line=<id> ok=<0|1> val=<v>
-  void set_trace(std::ostream* os);
+  /// pointer test per step and nothing else. obs::TextTraceSink renders the
+  /// events as one human-readable line each.
+  void set_sink(obs::TraceSink* sink) noexcept { sink_ = sink; }
 
   /// Enables per-line contention profiling; results appear in
   /// RunStats::line_profiles of subsequent run() calls (hottest first).
@@ -498,7 +488,6 @@ class Machine {
   std::vector<CoreId> scratch_waiters_;  ///< ScheduleHook::pick argument
 
   obs::TraceSink* sink_ = nullptr;
-  std::unique_ptr<obs::TraceSink> owned_sink_;  ///< set_trace() compat shim
   ScheduleHook* hook_ = nullptr;
   std::uint64_t next_req_id_ = 0;
 

@@ -65,6 +65,21 @@ TEST(SimBackend, ReportsMachineMetadata) {
   EXPECT_DOUBLE_EQ(backend.freq_ghz(), 1.4);
 }
 
+// A run with line profiling or epochs carries more than one without, so a
+// cache entry written by one must never answer the other.
+TEST(SimBackend, ObservabilitySettingsJoinTheCacheIdentity) {
+  SimBackend plain(sim::test_machine(4));
+  EXPECT_EQ(plain.cache_identity(),
+            sim_backend_cache_identity(plain.machine_config(), plain.options()));
+  SimBackend profiled(sim::test_machine(4));
+  profiled.set_line_profiling(true);
+  SimBackend sampled(sim::test_machine(4));
+  sampled.set_epoch_cycles(500);
+  EXPECT_NE(profiled.cache_identity(), plain.cache_identity());
+  EXPECT_NE(sampled.cache_identity(), plain.cache_identity());
+  EXPECT_NE(sampled.cache_identity(), profiled.cache_identity());
+}
+
 TEST(MakeBackend, ParsesSpecs) {
   EXPECT_EQ(make_backend("sim:knl")->machine_name(), "knl-64");
   EXPECT_EQ(make_backend("sim:xeon")->machine_name(), "xeon-e5-2x18");

@@ -20,7 +20,7 @@
 #include "bench_core/report.hpp"
 #include "bench_core/sim_backend.hpp"
 #include "bench_core/sweep.hpp"
-#include "bench_core/sweep_journal.hpp"
+#include "bench_core/sweep_io.hpp"
 #include "sim/config.hpp"
 #include "sim/machine.hpp"
 
@@ -140,8 +140,10 @@ TEST(SweepDeterminism, PerPointReplayReproducesPooledResult) {
     std::vector<RecordedRun> local;
     replay.set_run_recorder(&local);
     const MeasuredRun rerun = replay.run(grid[i]);
+    const MeasuredRun* pooled = engine.result_or_null(i);
+    ASSERT_NE(pooled, nullptr) << "point " << i;
     EXPECT_EQ(serialize_measured_run(rerun, "k"),
-              serialize_measured_run(engine.result(i), "k"))
+              serialize_measured_run(*pooled, "k"))
         << "point " << i << " not replayable";
   }
   clear_run_log();
@@ -406,16 +408,6 @@ TEST(SweepFailureIsolation, FailedPointsDegradeSurvivorsIntact) {
   EXPECT_EQ(failed[1].index, 5u);
   EXPECT_EQ(failed[1].status, PointStatus::kTimeout);
   EXPECT_EQ(failed[0].seed, point_seed(5, 2));
-
-  // result() on a failed point explains itself and names the replay flag.
-  try {
-    (void)engine->result(5);
-    FAIL() << "result(5) on a timed-out point must throw";
-  } catch (const std::logic_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("timeout"), std::string::npos) << what;
-    EXPECT_NE(what.find("--replay-point=5"), std::string::npos) << what;
-  }
   clear_run_log();
 }
 
@@ -468,107 +460,6 @@ TEST(SweepCancel, PreCancelledSweepDrainsWithAllPointsCancelled) {
   clear_run_log();
 }
 
-// --- crash-recovery journal --------------------------------------------------
-
-MeasuredRun tiny_run(std::uint64_t mark) {
-  MeasuredRun r;
-  r.backend = "sim";
-  r.machine = "test";
-  r.duration_cycles = 1000.0;
-  ThreadResult t;
-  t.ops = mark;
-  r.threads.push_back(t);
-  return r;
-}
-
-TEST(SweepJournalFile, TornTailToleratedAndCompacted) {
-  TempDir dir("journal");
-  std::filesystem::create_directories(dir.path);
-  const std::string path = (dir.path / "sweep.journal").string();
-  {
-    sweep::SweepJournal j;
-    ASSERT_TRUE(j.open(path));
-    EXPECT_EQ(j.loaded_entries(), 0u);
-    ASSERT_TRUE(j.append("k1", tiny_run(1)));
-    ASSERT_TRUE(j.append("k2", tiny_run(2)));
-  }
-  // Crash mid-append: a torn, newline-less JSON stump at the tail.
-  {
-    std::ofstream out(path, std::ios::app);
-    out << "{\"v\":\"am-sweep-cache/1\",\"key\":\"k3\",\"backend";
-  }
-  {
-    sweep::SweepJournal j;
-    ASSERT_TRUE(j.open(path));
-    EXPECT_EQ(j.loaded_entries(), 2u) << "torn tail must not kill the prefix";
-    const auto r1 = j.lookup("k1");
-    ASSERT_TRUE(r1.has_value());
-    EXPECT_EQ(r1->threads.at(0).ops, 1u);
-    EXPECT_FALSE(j.lookup("k3").has_value());
-    // The load compacted the torn tail away and the file stays appendable.
-    ASSERT_TRUE(j.append("k3", tiny_run(3)));
-  }
-  {
-    sweep::SweepJournal j;
-    ASSERT_TRUE(j.open(path));
-    EXPECT_EQ(j.loaded_entries(), 3u);
-  }
-  std::ifstream in(path);
-  std::string first;
-  std::getline(in, first);
-  EXPECT_EQ(first, sweep::kJournalVersion);
-}
-
-TEST(SweepJournalFile, ForeignFileSetAsideNotDestroyed) {
-  TempDir dir("journal_foreign");
-  std::filesystem::create_directories(dir.path);
-  const std::string path = (dir.path / "notes.txt").string();
-  {
-    std::ofstream out(path);
-    out << "user data, not a journal\n";
-  }
-  sweep::SweepJournal j;
-  ASSERT_TRUE(j.open(path));
-  EXPECT_EQ(j.loaded_entries(), 0u);
-  std::ifstream aside(path + ".corrupt");
-  std::string line;
-  std::getline(aside, line);
-  EXPECT_EQ(line, "user data, not a journal")
-      << "a non-journal file must be preserved as <path>.corrupt";
-}
-
-TEST(SweepJournalFile, RerunSkipsJournaledPointsWithoutCache) {
-  TempDir dir("journal_rerun");
-  std::filesystem::create_directories(dir.path);
-  const std::string path = (dir.path / "sweep.journal").string();
-  const std::size_t n = sample_grid().size();
-
-  auto run_with_journal = [&](std::size_t* executed, std::size_t* jhits) {
-    clear_run_log();
-    SweepOptions opts;
-    opts.jobs = 3;
-    opts.base_seed = 42;
-    opts.journal_path = path;  // note: no cache_dir — journal alone
-    SweepEngine engine(test_sim_factory(), opts);
-    for (const WorkloadConfig& w : sample_grid()) engine.submit(w);
-    engine.drain();
-    *executed = engine.executed_points();
-    *jhits = engine.journal_hits();
-    return report_of_run_log();
-  };
-
-  std::size_t executed = 0, jhits = 0;
-  const std::string first = run_with_journal(&executed, &jhits);
-  EXPECT_EQ(executed, n);
-  EXPECT_EQ(jhits, 0u);
-
-  const std::string second = run_with_journal(&executed, &jhits);
-  EXPECT_EQ(executed, 0u) << "journaled rerun must simulate zero points";
-  EXPECT_EQ(jhits, n);
-  EXPECT_EQ(first, second) << "journal replay must be bit-exact";
-  clear_run_log();
-}
-
 // --- cache self-healing ------------------------------------------------------
 
 TEST(SweepCacheHealing, CorruptCacheFileQuarantinedAndRecomputed) {
@@ -579,18 +470,23 @@ TEST(SweepCacheHealing, CorruptCacheFileQuarantinedAndRecomputed) {
   const std::size_t n = sample_grid().size();
   ASSERT_EQ(executed, n);
 
-  // Corrupt one cache file in place.
-  std::string victim;
+  // Corrupt two cache files in place: one with garbage bytes, one with a
+  // document that keeps its own version and key but lost every other member
+  // (the shape that once crashed the parser).
+  std::vector<std::filesystem::path> victims;
   for (const auto& e : std::filesystem::directory_iterator(dir.path)) {
-    if (e.path().extension() == ".json") {
-      victim = e.path().string();
-      break;
-    }
+    if (e.path().extension() == ".json") victims.push_back(e.path());
   }
-  ASSERT_FALSE(victim.empty());
+  ASSERT_GE(victims.size(), 2u);
+  victims.resize(2);
   {
-    std::ofstream out(victim, std::ios::trunc);
+    std::ofstream out(victims[0], std::ios::trunc);
     out << "garbage bytes, not a cached run";
+  }
+  {
+    std::ofstream out(victims[1], std::ios::trunc);
+    out << "{\"v\":\"" << kSweepCacheVersion << "\",\"key\":\""
+        << victims[1].stem().string() << "\"}\n";
   }
 
   clear_run_log();
@@ -601,18 +497,72 @@ TEST(SweepCacheHealing, CorruptCacheFileQuarantinedAndRecomputed) {
   SweepEngine engine(test_sim_factory(), opts);
   for (const WorkloadConfig& w : sample_grid()) engine.submit(w);
   engine.drain();
-  EXPECT_EQ(engine.cache_hits(), n - 1);
-  EXPECT_EQ(engine.executed_points(), 1u) << "only the corrupt point reruns";
-  EXPECT_EQ(engine.quarantined_files(), 1u);
+  EXPECT_EQ(engine.cache_hits(), n - 2);
+  EXPECT_EQ(engine.executed_points(), 2u) << "only the corrupt points rerun";
+  EXPECT_EQ(engine.quarantined_files(), 2u);
   EXPECT_EQ(report_of_run_log(), cold) << "healed rerun stays byte-identical";
 
-  // The bad file moved into <cache>/quarantine/ for postmortem.
+  // The bad files moved into <cache>/quarantine/ for postmortem.
   const auto qdir = dir.path / "quarantine";
   ASSERT_TRUE(std::filesystem::is_directory(qdir));
   EXPECT_EQ(std::distance(std::filesystem::directory_iterator(qdir),
                           std::filesystem::directory_iterator()),
-            1);
+            2);
   clear_run_log();
+}
+
+// A file that carries the right version and key but whose body is wrong
+// (members missing, counts out of range, mistyped array elements) is a miss,
+// never a crash and never a silent reinterpretation of the numbers.
+TEST(SweepCacheHealing, MalformedVersionedDocsAreRejected) {
+  MeasuredRun run;
+  run.backend = "sim";
+  run.machine = "test";
+  run.threads.push_back(ThreadResult{});
+  run.invalidations = 3;
+  const std::string key = "deadbeefdeadbeef";
+  const std::string good = serialize_measured_run(run, key);
+  ASSERT_TRUE(parse_measured_run(good, key).has_value());
+
+  const auto with = [&](const std::string& from, const std::string& to) {
+    std::string text = good;
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) text.replace(at, from.size(), to);
+    return text;
+  };
+  const std::string header =
+      std::string("{\"v\":\"") + kSweepCacheVersion + "\",\"key\":\"" + key +
+      "\"";
+  EXPECT_FALSE(parse_measured_run(header + "}", key).has_value())
+      << "every member missing";
+  EXPECT_FALSE(parse_measured_run(with("\"backend\":\"sim\",", ""), key)
+                   .has_value())
+      << "backend missing";
+  EXPECT_FALSE(
+      parse_measured_run(with("\"backend\":\"sim\"", "\"backend\":7"), key)
+          .has_value())
+      << "backend not a string";
+  EXPECT_FALSE(parse_measured_run(
+                   with("\"invalidations\":3", "\"invalidations\":-1"), key)
+                   .has_value())
+      << "negative count";
+  EXPECT_FALSE(parse_measured_run(
+                   with("\"invalidations\":3", "\"invalidations\":1.5"), key)
+                   .has_value())
+      << "fractional count";
+  EXPECT_FALSE(parse_measured_run(
+                   with("\"invalidations\":3", "\"invalidations\":1e30"), key)
+                   .has_value())
+      << "count beyond 2^64";
+  EXPECT_FALSE(
+      parse_measured_run(with("\"transfers\":[0,", "\"transfers\":[\"x\","), key)
+          .has_value())
+      << "string inside transfers";
+  EXPECT_FALSE(parse_measured_run(
+                   with("\"freq_ghz\":\"", "\"freq_ghz\":\"zz"), key)
+                   .has_value())
+      << "bit pattern that is not 16 hex digits";
 }
 
 TEST(SweepCacheHealing, WriteFailuresDegradeAndAreCounted) {
@@ -641,20 +591,27 @@ TEST(SweepCacheHealing, WriteFailuresDegradeAndAreCounted) {
 }
 
 TEST(SweepCacheHealing, TransientWriteFaultIsRetriedAway) {
-  TempDir dir("transient");
-  sweep::IoFaults faults;
-  faults.write_enospc = 1;  // exactly one injected failure, then healthy
-  sweep::set_io_faults(&faults);
-  std::size_t executed = 0, hits = 0;
-  (void)run_grid(1, dir.path.string(), &executed, &hits);
-  sweep::set_io_faults(nullptr);
   const std::size_t n = sample_grid().size();
-  EXPECT_EQ(executed, n);
+  // Exactly one injected failure of each kind, then healthy. A torn write
+  // leaves half the bytes in the temp file; the rename never publishes it.
+  for (const auto fault : {&sweep::IoFaults::write_enospc,
+                           &sweep::IoFaults::torn_write,
+                           &sweep::IoFaults::rename_eio}) {
+    TempDir dir("transient");
+    sweep::IoFaults faults;
+    (faults.*fault) = 1;
+    sweep::set_io_faults(&faults);
+    std::size_t executed = 0, hits = 0;
+    const std::string cold = run_grid(1, dir.path.string(), &executed, &hits);
+    sweep::set_io_faults(nullptr);
+    EXPECT_EQ(executed, n);
+    EXPECT_EQ((faults.*fault).load(), 0) << "the fault was injected";
 
-  // The retry absorbed the fault: the warm rerun hits every point.
-  (void)run_grid(1, dir.path.string(), &executed, &hits);
-  EXPECT_EQ(executed, 0u);
-  EXPECT_EQ(hits, n);
+    // The retry absorbed the fault: the warm rerun hits every point.
+    EXPECT_EQ(run_grid(1, dir.path.string(), &executed, &hits), cold);
+    EXPECT_EQ(executed, 0u);
+    EXPECT_EQ(hits, n);
+  }
   clear_run_log();
 }
 

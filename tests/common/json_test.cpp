@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <string>
 
 #include "common/json.hpp"
 
@@ -90,6 +92,42 @@ TEST(JsonValue, RejectsMalformedInput) {
   EXPECT_FALSE(JsonValue::parse("{\"a\":1} trailing").has_value());
   EXPECT_FALSE(JsonValue::parse("\"unterminated").has_value());
   EXPECT_FALSE(JsonValue::parse("").has_value());
+}
+
+TEST(JsonValue, RejectsDuplicateMemberNames) {
+  std::string error;
+  EXPECT_FALSE(JsonValue::parse(R"({"a":1,"b":2,"a":3})", &error).has_value());
+  EXPECT_NE(error.find("duplicate object key \"a\""), std::string::npos)
+      << error;
+  // Nested objects are checked too; equal names in sibling objects are fine.
+  EXPECT_FALSE(JsonValue::parse(R"({"o":{"x":1,"x":1}})").has_value());
+  EXPECT_TRUE(JsonValue::parse(R"([{"x":1},{"x":2}])").has_value());
+  EXPECT_TRUE(JsonValue::parse(R"({"x":{"x":1}})").has_value());
+}
+
+TEST(JsonValue, ManyDistinctMemberNamesParseQuickly) {
+  // A request line of up to 1 MiB can carry ~100k short names; the
+  // duplicate check must not scan them pairwise.
+  constexpr int kMembers = 100000;
+  std::string text = "{";
+  for (int i = 0; i < kMembers; ++i) {
+    if (i > 0) text += ',';
+    text += "\"k" + std::to_string(i) + "\":0";
+  }
+  text += '}';
+  const auto start = std::chrono::steady_clock::now();
+  const auto doc = JsonValue::parse(text);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_EQ(doc->size(), static_cast<std::size_t>(kMembers));
+  EXPECT_LT(elapsed, std::chrono::seconds(5));
+  // A duplicate at the far end is still caught.
+  text.back() = ',';
+  text += "\"k7\":1}";
+  std::string error;
+  EXPECT_FALSE(JsonValue::parse(text, &error).has_value());
+  EXPECT_NE(error.find("duplicate object key \"k7\""), std::string::npos)
+      << error;
 }
 
 TEST(JsonWriter, NaNAndInfinityInKeyedValuesBecomeNull) {

@@ -321,6 +321,27 @@ TEST(Server, StatsCountsKindsAndErrors) {
   EXPECT_EQ(req->find("total")->as_number(), 3.0);
 }
 
+// A repeated member name is ambiguous (first wins in one reader, last in
+// another), so the request is refused with an error envelope instead of
+// being answered for one of the two values.
+TEST(Server, DuplicateMemberNameIsAnErrorEnvelope) {
+  LiveServer live;
+  ServiceClient client;
+  std::string error;
+  ASSERT_TRUE(client.connect(live.endpoint, &error)) << error;
+  const std::string response = roundtrip_or_die(
+      client,
+      R"({"kind":"predict","prim":"FAA","threads":16,"work":0,"threads":2})");
+  const auto doc = JsonValue::parse(response);
+  ASSERT_TRUE(doc.has_value()) << response;
+  EXPECT_EQ(doc->find("v")->as_string(), "am-serve/1");
+  EXPECT_FALSE(doc->find("ok")->as_bool());
+  EXPECT_EQ(doc->find("result"), nullptr);
+  EXPECT_NE(doc->find("error")->as_string().find("duplicate"),
+            std::string::npos)
+      << response;
+}
+
 TEST(Server, StatsReportsRollingQps) {
   LiveServer live;
   ServiceClient client;
