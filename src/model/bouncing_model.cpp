@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <mutex>
+#include <stdexcept>
 
 #include "common/stats.hpp"
 #include "model/cas_model.hpp"
@@ -16,23 +19,71 @@ const char* to_string(Regime r) noexcept {
   return "?";
 }
 
-BouncingModel::BouncingModel(ModelParams params) : params_(std::move(params)) {}
+struct BouncingModel::Handoff {
+  HandoffEstimate estimate;
+  /// cas_success_from_shares(estimate.grant_shares): a fixed point of the
+  /// shares alone. Left default under FIFO, whose CAS success is 1/N.
+  SharesSuccess shares_success;
+};
 
-const HandoffEstimate& BouncingModel::handoff_for(std::uint32_t threads) const {
-  auto it = handoff_cache_.find(threads);
-  if (it == handoff_cache_.end()) {
+// Entries depend only on (params, threads) and params never change after
+// construction, so each is computed once and then only read. The mutex
+// guards finding or inserting a slot; the walk runs under the slot's
+// once_flag, outside the lock, so first touches of different thread counts
+// proceed in parallel and concurrent first touches of one count wait for a
+// single walk. std::map nodes never move, so published references stay
+// valid for the memo's lifetime.
+class BouncingModel::HandoffMemo {
+ public:
+  const Handoff& get(const ModelParams& params, std::uint32_t threads) {
+    Slot* slot = nullptr;
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      slot = &slots_[threads];
+    }
+    std::call_once(slot->once, [&] { slot->value = compute(params, threads); });
+    return slot->value;
+  }
+
+ private:
+  struct Slot {
+    std::once_flag once;
+    Handoff value;
+  };
+
+  static Handoff compute(const ModelParams& params, std::uint32_t threads) {
+    Handoff h;
     // Hold time barely affects the hand-off chain's geometry; use the FAA
     // local cost as the representative hold.
-    const double hold = params_.local_op_cycles(Primitive::kFaa);
-    it = handoff_cache_
-             .emplace(threads, estimate_handoff(params_, threads, hold))
-             .first;
+    h.estimate = estimate_handoff(params, threads,
+                                  params.local_op_cycles(Primitive::kFaa));
+    if (params.arbitration != sim::Arbitration::kFifo) {
+      h.shares_success = cas_success_from_shares(h.estimate.grant_shares);
+    }
+    return h;
   }
-  return it->second;
+
+  std::mutex mu_;
+  std::map<std::uint32_t, Slot> slots_;
+};
+
+BouncingModel::BouncingModel(ModelParams params)
+    : params_(std::move(params)), memo_(std::make_shared<HandoffMemo>()) {}
+
+const BouncingModel::Handoff& BouncingModel::handoff_for(
+    std::uint32_t threads) const {
+  // Every walk beyond the machine's cores throws; refusing here keeps such
+  // thread counts out of the memo.
+  if (threads > params_.cores) {
+    throw std::invalid_argument("BouncingModel: threads=" +
+                                std::to_string(threads) + " exceeds " +
+                                std::to_string(params_.cores) + " cores");
+  }
+  return memo_->get(params_, threads);
 }
 
 double BouncingModel::mean_transfer(std::uint32_t threads) const {
-  return handoff_for(threads).mean_transfer_cycles;
+  return handoff_for(threads).estimate.mean_transfer_cycles;
 }
 
 double BouncingModel::crossover_work(Primitive prim,
@@ -98,11 +149,12 @@ Prediction BouncingModel::predict(Primitive prim, std::uint32_t threads,
         out.throughput_ops_per_kcycle / 1000.0 * params_.freq_ghz * 1e3;
     out.energy_per_op_nj =
         energy_per_op(prim, threads, work, out.latency_cycles, 1.0,
-                      handoff_for(threads));
+                      handoff_for(threads).estimate);
     return out;
   }
 
-  const HandoffEstimate& ho = handoff_for(threads);
+  const Handoff& memo = handoff_for(threads);
+  const HandoffEstimate& ho = memo.estimate;
   const double T = ho.mean_transfer_cycles;
   const double h = T + c;
   out.mean_transfer_cycles = T;
@@ -118,8 +170,7 @@ Prediction BouncingModel::predict(Primitive prim, std::uint32_t threads,
   // fewer intervening modifications and succeed more often. Under FIFO the
   // rotation is deterministic and exactly one requester per pass succeeds.
   const bool randomized = params_.arbitration != sim::Arbitration::kFifo;
-  const SharesSuccess shares_success =
-      randomized ? cas_success_from_shares(ho.grant_shares) : SharesSuccess{};
+  const SharesSuccess& shares_success = memo.shares_success;
   double success = 1.0;
   double attempts = 1.0;
   if (prim == Primitive::kCas) {
@@ -217,7 +268,7 @@ Prediction BouncingModel::predict_mixed(Primitive write_prim,
     return out;
   }
 
-  const HandoffEstimate& ho = handoff_for(threads);
+  const HandoffEstimate& ho = handoff_for(threads).estimate;
   const double T = ho.mean_transfer_cycles;
   const double h_write = T + c_write;                     // writer acquisition
   const double refetch = params_.shared_supply + c_load;  // reader refill
@@ -267,7 +318,7 @@ Prediction BouncingModel::predict_zipf(Primitive prim, std::uint32_t threads,
     return predict(prim, threads, work);
   }
 
-  const HandoffEstimate& ho = handoff_for(threads);
+  const HandoffEstimate& ho = handoff_for(threads).estimate;
   const double h = ho.mean_transfer_cycles + c;
   out.mean_transfer_cycles = ho.mean_transfer_cycles;
   out.hold_cycles = h;

@@ -22,7 +22,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <string>
 
 #include "atomics/primitives.hpp"
@@ -55,6 +55,9 @@ struct Prediction {
   double energy_per_op_nj = 0.0;
 };
 
+/// Thread-safe for concurrent const use: one instance (or its copies, which
+/// share its hand-off memo) may serve any number of threads, and each
+/// thread count's hand-off walk runs once for all of them.
 class BouncingModel {
  public:
   explicit BouncingModel(ModelParams params);
@@ -103,13 +106,18 @@ class BouncingModel {
   const ModelParams& params() const noexcept { return params_; }
 
  private:
-  const HandoffEstimate& handoff_for(std::uint32_t threads) const;
+  struct Handoff;     // one memo entry (bouncing_model.cpp)
+  class HandoffMemo;  // thread-safe threads -> Handoff table
+
+  /// Throws std::invalid_argument for threads beyond params().cores.
+  const Handoff& handoff_for(std::uint32_t threads) const;
   double energy_per_op(Primitive prim, std::uint32_t threads, double work,
                        double latency, double attempts,
                        const HandoffEstimate& h) const;
 
   ModelParams params_;
-  mutable std::map<std::uint32_t, HandoffEstimate> handoff_cache_;
+  /// Copies share it: they carry the same params_, so the same entries.
+  std::shared_ptr<HandoffMemo> memo_;
 };
 
 }  // namespace am::model

@@ -49,14 +49,23 @@ HandoffEstimate simulate_handoff(const ModelParams& p, std::uint32_t n,
     return e;
   }
 
-  // State: token owner + each core's request arrival time (all always
-  // re-request immediately after their grant completes).
+  // State: token owner + each core's request arrival time. Every core
+  // re-requests immediately after its grant completes, so the waiters are
+  // exactly the cores other than the owner.
   Xoshiro256 rng(0x9d2c5680);  // same arbitration seed family as the machine
   std::uint32_t owner = 0;
   double now = 0.0;
   std::vector<double> arrival(n, 0.0);
-  std::vector<bool> waiting(n, true);
-  waiting[0] = false;
+
+  // The proximity-biased race weighs each waiter by its fixed distance to
+  // the home agent, so the weights are computed once, not per waiter per
+  // step. Sums below still run in core order, keeping every output bitwise
+  // unchanged.
+  std::vector<double> weight;
+  if (p.arbitration == sim::Arbitration::kProximityBiased) {
+    weight.resize(n);
+    for (std::uint32_t c = 0; c < n; ++c) weight[c] = bias_weight(p, kHome, c);
+  }
 
   double sum_t = 0.0;
   double sum_hops = 0.0;
@@ -70,7 +79,7 @@ HandoffEstimate simulate_handoff(const ModelParams& p, std::uint32_t n,
     double oldest = std::numeric_limits<double>::infinity();
     std::uint32_t oldest_core = n;
     for (std::uint32_t c = 0; c < n; ++c) {
-      if (waiting[c] && arrival[c] < oldest) {
+      if (c != owner && arrival[c] < oldest) {
         oldest = arrival[c];
         oldest_core = c;
       }
@@ -86,7 +95,7 @@ HandoffEstimate simulate_handoff(const ModelParams& p, std::uint32_t n,
         next = oldest_core;
         double best_d = std::numeric_limits<double>::infinity();
         for (std::uint32_t c = 0; c < n; ++c) {
-          if (!waiting[c]) continue;
+          if (c == owner) continue;
           const double d = p.distance_between(owner, c);
           // Tie-break by age so equal-distance cores rotate.
           if (d < best_d || (d == best_d && arrival[c] < arrival[next])) {
@@ -100,13 +109,13 @@ HandoffEstimate simulate_handoff(const ModelParams& p, std::uint32_t n,
       // Machine::arbitrate.
       double total = 0.0;
       for (std::uint32_t c = 0; c < n; ++c) {
-        if (waiting[c]) total += bias_weight(p, kHome, c);
+        if (c != owner) total += weight[c];
       }
       double pick = rng.next_double() * total;
       next = oldest_core;
       for (std::uint32_t c = 0; c < n; ++c) {
-        if (!waiting[c]) continue;
-        pick -= bias_weight(p, kHome, c);
+        if (c == owner) continue;
+        pick -= weight[c];
         if (pick <= 0.0) {
           next = c;
           break;
@@ -123,8 +132,6 @@ HandoffEstimate simulate_handoff(const ModelParams& p, std::uint32_t n,
       ++counted;
     }
     now += t + hold_cycles;
-    waiting[next] = false;
-    waiting[owner] = true;
     arrival[owner] = now;  // previous owner re-requests after its grant
     owner = next;
   }

@@ -11,8 +11,11 @@
 // The token-passing evaluation is still "the model", not the simulator: it
 // abstracts away the coherence protocol, op semantics and timing jitter. It
 // is not cheap, though: its 20000 default steps cost milliseconds per call,
-// growing with N. BouncingModel memoizes it per instance, so a freshly built
-// model pays it again on first use.
+// growing with N. BouncingModel memoizes it in a thread-safe table that its
+// copies share, so only the first use of each N on a model (or any copy)
+// pays the walk; the service keeps one model per preset, so each (preset, N)
+// is walked once per process. A freshly built model starts empty, and
+// model::calibrate, whose hold comes from the client, walks on every call.
 #pragma once
 
 #include <cstdint>

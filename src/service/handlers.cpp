@@ -26,6 +26,16 @@ sim::MachineConfig machine_for(const std::string& name) {
   return sim::preset_by_name(name);
 }
 
+/// The error a predict or advise request gets for a thread count the machine
+/// does not have (empty when it fits).
+std::string threads_error(const model::BouncingModel& model,
+                          const std::string& machine, std::uint32_t threads) {
+  const std::uint32_t cores = model.params().cores;
+  if (threads <= cores) return "";
+  return "threads=" + std::to_string(threads) + " exceeds " + machine + "'s " +
+         std::to_string(cores) + " cores";
+}
+
 bench::WorkloadMode workload_mode(const std::string& mode) {
   if (mode == "private") return bench::WorkloadMode::kLowContention;
   if (mode == "mixed") return bench::WorkloadMode::kMixedReadWrite;
@@ -135,6 +145,19 @@ ServiceCore::ServiceCore(ServiceConfig config)
   }
 }
 
+const model::BouncingModel& ServiceCore::model_for(const std::string& machine) {
+  // parse_request admits only these names; like preset_by_name, anything
+  // else falls back to the test machine.
+  static constexpr std::array<const char*, 3> kNames = {"xeon", "knl", "test"};
+  const std::size_t i = machine == "xeon" ? 0 : machine == "knl" ? 1 : 2;
+  PresetModel& slot = models_[i];
+  std::call_once(slot.built, [&] {
+    slot.model = std::make_unique<const model::BouncingModel>(
+        model::ModelParams::from_machine(machine_for(kNames[i])));
+  });
+  return *slot.model;
+}
+
 void ServiceCore::append_stats(JsonWriter& w) const {
   const CacheCounters cache = cache_.counters();
   w.key("cache").begin_object();
@@ -205,16 +228,9 @@ ServiceCore::HandleResult ServiceCore::handle(const Request& r,
 }
 
 std::string ServiceCore::run_predict(const PointQuery& q, std::string* error) {
-  const sim::MachineConfig mc = machine_for(q.machine);
-  if (q.threads > mc.cores) {
-    *error = "threads=" + std::to_string(q.threads) + " exceeds " + q.machine +
-             "'s " + std::to_string(mc.cores) + " cores";
-    return "";
-  }
-  // A fresh model per request keeps predict() reentrant: BouncingModel's
-  // hand-off cache mutates on use, so instances are never shared between
-  // worker threads.
-  const model::BouncingModel model(model::ModelParams::from_machine(mc));
+  const model::BouncingModel& model = model_for(q.machine);
+  *error = threads_error(model, q.machine, q.threads);
+  if (!error->empty()) return "";
   model::Prediction p;
   if (q.mode == "private") {
     p = model.predict_private(q.prim, q.threads, q.work);
@@ -233,13 +249,9 @@ std::string ServiceCore::run_predict(const PointQuery& q, std::string* error) {
 }
 
 std::string ServiceCore::run_advise(const AdviseQuery& q, std::string* error) {
-  const sim::MachineConfig mc = machine_for(q.machine);
-  if (q.threads > mc.cores) {
-    *error = "threads=" + std::to_string(q.threads) + " exceeds " + q.machine +
-             "'s " + std::to_string(mc.cores) + " cores";
-    return "";
-  }
-  const model::BouncingModel model(model::ModelParams::from_machine(mc));
+  const model::BouncingModel& model = model_for(q.machine);
+  *error = threads_error(model, q.machine, q.threads);
+  if (!error->empty()) return "";
   std::ostringstream os;
   JsonWriter w(os);
   if (q.target == "backoff") {

@@ -21,12 +21,16 @@
 // worker process) or a fleet::Router (the supervisor's forwarding tier).
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 
 #include "bench_core/result.hpp"
 #include "bench_core/workload.hpp"
+#include "model/bouncing_model.hpp"
 #include "obs/trace.hpp"
 #include "service/lru_cache.hpp"
 #include "service/protocol.hpp"
@@ -125,6 +129,8 @@ class ServiceCore final : public RequestHandler {
   const ServiceConfig& config() const noexcept { return config_; }
 
  private:
+  /// The shared model of a validated machine name, built on first use.
+  const model::BouncingModel& model_for(const std::string& machine);
   std::string run_predict(const PointQuery& q, std::string* error);
   std::string run_advise(const AdviseQuery& q, std::string* error);
   std::string run_calibrate(const CalibrateQuery& q, std::string* error);
@@ -138,6 +144,14 @@ class ServiceCore final : public RequestHandler {
 
   ServiceConfig config_;
   ShardedLruCache cache_;
+  /// One model per preset (xeon, knl, test), shared by every service
+  /// thread: its hand-off memo is thread-safe, so each (preset, threads)
+  /// walk runs once per ServiceCore rather than once per request.
+  struct PresetModel {
+    std::once_flag built;
+    std::unique_ptr<const model::BouncingModel> model;
+  };
+  std::array<PresetModel, 3> models_;
 };
 
 /// The exact WorkloadConfig a simulate request runs (also the key half of

@@ -508,7 +508,6 @@ void Server::record_request(RequestKind kind, bool parsed, bool ok,
     // Unparseable lines have no kind; they are tallied as parse_errors only.
     if (parsed) ++requests_by_kind_[static_cast<std::size_t>(kind)];
     if (parsed && !ok) ++handler_errors_;
-    if (cache_hit) ++cache_hit_responses_;
     latency_us_.add(latency_us);
   }
   if (telemetry_ != nullptr) {
@@ -553,7 +552,6 @@ std::string Server::stats_json() const {
   std::uint64_t by_kind[kRequestKindCount];
   std::uint64_t parse_errors = 0;
   std::uint64_t handler_errors = 0;
-  std::uint64_t cache_hit_responses = 0;
   std::uint64_t accepted = 0;
   double uptime_s = 0.0;
   double lat_count = 0.0, lat_mean = 0.0, lat_p50 = 0.0, lat_p90 = 0.0,
@@ -565,7 +563,6 @@ std::string Server::stats_json() const {
     }
     parse_errors = parse_errors_;
     handler_errors = handler_errors_;
-    cache_hit_responses = cache_hit_responses_;
     accepted = accepted_;
     uptime_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                              start_time_)
@@ -701,7 +698,7 @@ std::string Server::metrics_text() const {
   for (const Win& win : kWins) {
     const auto h = t.windows.histogram_delta(*t.latency, win.seconds, now);
     for (const double q : {50.0, 90.0, 99.0}) {
-      char qbuf[8];
+      char qbuf[32];
       std::snprintf(qbuf, sizeof qbuf, "%g", q / 100.0);
       w.sample("am_request_latency_window_us",
                {{"window", win.label}, {"quantile", qbuf}},

@@ -137,7 +137,6 @@ class Server {
   std::uint64_t requests_by_kind_[kRequestKindCount] = {};
   std::uint64_t parse_errors_ = 0;
   std::uint64_t handler_errors_ = 0;
-  std::uint64_t cache_hit_responses_ = 0;
   std::uint64_t accepted_ = 0;
   LogHistogram latency_us_{0.1, 1e8, 16};
   std::chrono::steady_clock::time_point start_time_;

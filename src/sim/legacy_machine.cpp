@@ -1,9 +1,11 @@
 // Verbatim port of the seed-core machine.cpp (see legacy_machine.hpp for
 // why this exists and why it must not change behaviour). The only edits
 // relative to the seed file are the namespace, the removal of the
-// PointTimeout definitions (shared with the live core via machine.hpp) and
-// the removal of the telemetry flush (the reference core must not
-// double-count the process-wide am_sim_* counters).
+// PointTimeout definitions (shared with the live core via machine.hpp), the
+// removal of the telemetry flush (the reference core must not
+// double-count the process-wide am_sim_* counters) and an empty
+// Primitive::kFence case in apply_op (the enumerator postdates the seed;
+// the case keeps -Wswitch quiet and changes no behaviour).
 #include "sim/legacy_machine.hpp"
 
 #include <algorithm>
@@ -668,6 +670,10 @@ OpResult Machine::apply_op(Primitive prim, LineState& ls, OpContext& ctx) {
         r.observed = old;
         r.success = false;
       }
+      break;
+    case Primitive::kFence:
+      // FENCE postdates the seed core: it leaves the line untouched, as the
+      // seed's switch did by falling through.
       break;
   }
   return r;

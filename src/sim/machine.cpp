@@ -953,6 +953,9 @@ OpResult Machine::apply_op(Primitive prim, std::uint32_t slot,
         r.success = false;
       }
       break;
+    case Primitive::kFence:
+      // Unreachable: fences retire in submit_request and never touch a line.
+      break;
   }
   return r;
 }

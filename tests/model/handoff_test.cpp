@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdio>
+#include <string>
+
+#include "common/sha256.hpp"
 #include "common/stats.hpp"
 #include "model/handoff.hpp"
 #include "sim/config.hpp"
@@ -70,6 +75,39 @@ TEST(TokenPassing, RejectsBadCoreCount) {
   const ModelParams p = ModelParams::from_machine(sim::test_machine(4));
   EXPECT_THROW(simulate_handoff(p, 0, 10.0), std::invalid_argument);
   EXPECT_THROW(simulate_handoff(p, 5, 10.0), std::invalid_argument);
+}
+
+void append_bits(std::string& out, double v) {
+  char buf[20];
+  std::snprintf(
+      buf, sizeof buf, "%016llx ",
+      static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(v)));
+  out += buf;
+}
+
+// Every output of the walk, as IEEE bit patterns, for every N on both
+// proximity-biased presets at the model's own hold (FAA) and one other. Any
+// rewrite of the walk must keep this digest: the model's T(N), fairness,
+// CAS success and energy all derive from these numbers.
+TEST(TokenPassing, WalkOutputsArePinnedBitForBit) {
+  std::string bytes;
+  for (const char* name : {"xeon", "knl"}) {
+    const ModelParams p = ModelParams::from_machine(sim::preset_by_name(name));
+    for (const double hold : {p.local_op_cycles(Primitive::kFaa), 100.0}) {
+      for (std::uint32_t n = 1; n <= p.cores; ++n) {
+        const HandoffEstimate e = simulate_handoff(p, n, hold);
+        bytes += std::string(name) + " " + std::to_string(n) + " ";
+        append_bits(bytes, hold);
+        append_bits(bytes, e.mean_transfer_cycles);
+        append_bits(bytes, e.mean_hops);
+        append_bits(bytes, e.far_fraction);
+        for (const double s : e.grant_shares) append_bits(bytes, s);
+        bytes += '\n';
+      }
+    }
+  }
+  EXPECT_EQ(sha256_hex(bytes),
+            "7d49ef40a1a549d0087e74cf02fb8b7924cec4951f80880fa2aae3988dae9537");
 }
 
 TEST(Dispatch, EstimateUsesClosedFormForFifo) {

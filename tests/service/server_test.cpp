@@ -62,6 +62,58 @@ TEST(ServiceCore, ThreadsBeyondMachineCoresIsAnError) {
   EXPECT_NE(r.response.find("4 cores"), std::string::npos);
 }
 
+TEST(ServiceCore, SharedModelsAnswerLikeAFreshCore) {
+  // With the LRU off every request recomputes, so repeats of a (machine,
+  // threads) cell are answered from the core's warm hand-off memo. Each
+  // response must equal what a freshly built core (cold memo) sends.
+  ServiceConfig config;
+  config.cache_capacity = 0;
+  config.metrics = false;
+  ServiceCore core(config);
+  const std::string cas = R"({"kind":"predict","machine":"knl","prim":"CAS",)"
+                          R"("threads":24,"work":50})";
+  const std::string casloop =
+      R"({"kind":"predict","machine":"xeon","prim":"CASLOOP",)"
+      R"("threads":24,"work":50})";
+  std::vector<std::string> lines = {cas, casloop};
+  for (const char* cell : {R"("machine":"xeon","threads":8)",
+                           R"("machine":"xeon","threads":9)",
+                           R"("machine":"knl","threads":24)",
+                           R"("machine":"knl","threads":25)",
+                           R"("machine":"test","threads":3)",
+                           R"("machine":"test","threads":4)"}) {
+    for (const char* work : {"0", "100", "900", "5000"}) {
+      const std::string tail =
+          std::string(",") + cell + R"(,"work":)" + work + "}";
+      for (const char* prim : {"FAA", "CAS", "CASLOOP"}) {
+        lines.push_back(R"({"kind":"predict","prim":")" + std::string(prim) +
+                        '"' + tail);
+      }
+      for (const char* head :
+           {R"({"kind":"predict","mode":"mixed","prim":"FAA")"
+            R"(,"write_fraction":0.2)",
+            R"({"kind":"predict","mode":"zipf","prim":"FAA","zipf_lines":8)",
+            R"({"kind":"advise","target":"counter")",
+            R"({"kind":"advise","target":"lock","critical":120)",
+            R"({"kind":"advise","target":"backoff")"}) {
+        lines.push_back(head + tail);
+      }
+    }
+  }
+  lines.push_back(cas);
+  lines.push_back(casloop);
+
+  for (const std::string& line : lines) {
+    const Request r = parse_or_die(line);
+    const auto served = core.handle(r);
+    ServiceCore fresh(config);
+    const auto expected = fresh.handle(r);
+    EXPECT_TRUE(served.ok) << line << " -> " << served.response;
+    EXPECT_FALSE(served.cache_hit);
+    EXPECT_EQ(served.response, expected.response) << line;
+  }
+}
+
 TEST(ServiceCore, AdviseTargetsAllAnswer) {
   ServiceCore core({});
   for (const char* line : {
