@@ -8,10 +8,10 @@
 // mixes differ structurally (single hot line, CAS retry storms, per-core
 // lines, sharded groups, read-mostly broadcasts).
 //
-// The frozen seed core (sim::legacy::Machine) runs the identical point list
-// in the same process, so the reported speedup is a property of the rewrite
-// alone, not of the host. scripts/check_sim_core_perf.py compares the JSON
-// emitted here against the committed BENCH_sim_core.json baseline in CI.
+// Raw points/sec is a property of the host and swings run to run on shared
+// machines, so no committed number is gated. scripts/perf_ab.py instead runs
+// two builds of this binary (a base and a candidate) interleaved on one host
+// and gates the per-pair ratio of the `points_per_sec` each JSON reports.
 //
 // Usage: bench_sim_core [--reps N] [--json-out PATH] [--scale N]
 #include <algorithm>
@@ -25,9 +25,9 @@
 #include <vector>
 
 #include "common/cli.hpp"
+#include "common/cpu.hpp"
 #include "common/table.hpp"
 #include "sim/config.hpp"
-#include "sim/legacy_machine.hpp"
 #include "sim/machine.hpp"
 #include "sim/program.hpp"
 
@@ -72,8 +72,8 @@ std::unique_ptr<sim::ThreadProgram> mixed_rw() {
 /// points/sec reflects the real mix of event densities (a low-contention
 /// window simulates ~50x more events than a serialized hot-line window of
 /// the same simulated length). 100k cycles keeps one rep long enough that
-/// the event loop dominates construction and short enough for a best-of-3
-/// CI gate.
+/// the event loop dominates construction and short enough to run both
+/// builds many times in a paired A/B.
 const Point kPoints[] = {
     {"hc_faa_t4", 11, 4, 1'000, 100'000, hc_faa},
     {"hc_faa_tmax", 12, 0, 1'000, 100'000, hc_faa},
@@ -85,12 +85,10 @@ const Point kPoints[] = {
     {"mixed_rw_tmax", 18, 0, 1'000, 100'000, mixed_rw},
 };
 
-/// One uncached point on machine type M: cold construction + one run.
-/// Returns a digest folded from the run so the work cannot be elided and
-/// fast/legacy agreement can be asserted.
-template <class M>
+/// One uncached point: cold construction + one run. Returns a digest folded
+/// from the run so the work cannot be elided.
 std::uint64_t run_point(const sim::MachineConfig& cfg, const Point& p) {
-  M machine(cfg, p.seed);
+  sim::Machine machine(cfg, p.seed);
   const sim::CoreId threads =
       p.threads == 0 ? machine.core_count()
                      : std::min<sim::CoreId>(p.threads, machine.core_count());
@@ -104,37 +102,10 @@ std::uint64_t run_point(const sim::MachineConfig& cfg, const Point& p) {
   return digest;
 }
 
-/// Runs the whole point list once, recording per-point wall seconds into
-/// @p secs (indexed like kPoints). Returns the digest over all points.
-template <class M>
-std::uint64_t run_list(const sim::MachineConfig& cfg, int scale,
-                       double* secs) {
-  std::uint64_t digest = 0;
-  for (std::size_t i = 0; i < std::size(kPoints); ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int s = 0; s < scale; ++s) {
-      digest ^= run_point<M>(cfg, kPoints[i]);
-    }
-    secs[i] =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-  }
-  return digest;
-}
-
-struct PointResult {
-  const char* name = nullptr;
-  double fast_ms = 0.0;    ///< best-of-reps wall ms (whole scale loop)
-  double legacy_ms = 0.0;
-  double speedup = 0.0;
-};
-
 struct PresetResult {
   std::string preset;
-  double fast = 0.0;    ///< points/sec, rewritten core (best of reps)
-  double legacy = 0.0;  ///< points/sec, frozen seed core (best of reps)
-  double speedup = 0.0;
-  std::vector<PointResult> points;
+  double points_per_sec = 0.0;   ///< from the per-point bests
+  std::vector<double> point_ms;  ///< best-of-reps wall ms, indexed like kPoints
 };
 
 PresetResult bench_preset(const std::string& name, int reps, int scale) {
@@ -142,50 +113,27 @@ PresetResult bench_preset(const std::string& name, int reps, int scale) {
   constexpr std::size_t kN = std::size(kPoints);
   PresetResult r;
   r.preset = name;
-  r.points.resize(kN);
-  for (std::size_t i = 0; i < kN; ++i) {
-    r.points[i].name = kPoints[i].name;
-    r.points[i].fast_ms = std::numeric_limits<double>::infinity();
-    r.points[i].legacy_ms = std::numeric_limits<double>::infinity();
-  }
-  std::uint64_t fast_digest = 0;
-  std::uint64_t legacy_digest = 0;
-  double fast_secs[kN];
-  double legacy_secs[kN];
-  // Interleave fast/legacy reps so thermal or scheduler drift hits both.
-  for (int i = 0; i < reps; ++i) {
-    fast_digest = run_list<sim::Machine>(cfg, scale, fast_secs);
-    legacy_digest = run_list<sim::legacy::Machine>(cfg, scale, legacy_secs);
-    for (std::size_t p = 0; p < kN; ++p) {
-      r.points[p].fast_ms = std::min(r.points[p].fast_ms, fast_secs[p] * 1e3);
-      r.points[p].legacy_ms =
-          std::min(r.points[p].legacy_ms, legacy_secs[p] * 1e3);
+  r.point_ms.assign(kN, std::numeric_limits<double>::infinity());
+  for (int rep = 0; rep < reps; ++rep) {
+    for (std::size_t i = 0; i < kN; ++i) {
+      const auto t0 = std::chrono::steady_clock::now();
+      for (int s = 0; s < scale; ++s) {
+        do_not_optimize(run_point(cfg, kPoints[i]));
+      }
+      const std::chrono::duration<double, std::milli> ms =
+          std::chrono::steady_clock::now() - t0;
+      r.point_ms[i] = std::min(r.point_ms[i], ms.count());
     }
   }
   // Aggregate throughput from the per-point bests: sum of the best times is
-  // the fastest achievable sweep, and best-of per point is the standard
-  // noise-rejection for a CI gate.
-  double fast_total = 0.0;
-  double legacy_total = 0.0;
-  for (std::size_t p = 0; p < kN; ++p) {
-    r.points[p].speedup = r.points[p].legacy_ms / r.points[p].fast_ms;
-    fast_total += r.points[p].fast_ms;
-    legacy_total += r.points[p].legacy_ms;
-  }
-  r.fast = static_cast<double>(kN * scale) / (fast_total * 1e-3);
-  r.legacy = static_cast<double>(kN * scale) / (legacy_total * 1e-3);
-  if (fast_digest != legacy_digest) {
-    // The equivalence suite proves byte identity properly; this is a cheap
-    // tripwire so a perf run can never report a speedup over different work.
-    std::cerr << "FATAL: fast/legacy digest mismatch on preset " << name
-              << "\n";
-    std::exit(2);
-  }
-  r.speedup = r.fast / r.legacy;
+  // the fastest achievable sweep, and best-of per point rejects noise spikes.
+  double total_ms = 0.0;
+  for (const double ms : r.point_ms) total_ms += ms;
+  r.points_per_sec = static_cast<double>(kN * scale) / (total_ms * 1e-3);
   return r;
 }
 
-std::string json_escape_double(double v) {
+std::string fixed3(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.3f", v);
   return buf;
@@ -195,23 +143,18 @@ bool write_json(const std::string& path, const std::vector<PresetResult>& rs,
                 int reps, int scale) {
   std::ofstream out(path);
   if (!out) return false;
-  out << "{\n  \"schema\": \"am-bench-sim-core/1\",\n"
+  out << "{\n  \"schema\": \"am-bench-sim-core/2\",\n"
       << "  \"reps\": " << reps << ",\n  \"scale\": " << scale << ",\n"
       << "  \"points_per_rep\": " << std::size(kPoints) * scale << ",\n"
       << "  \"presets\": [\n";
   for (std::size_t i = 0; i < rs.size(); ++i) {
     const PresetResult& r = rs[i];
     out << "    {\"preset\": \"" << r.preset << "\", \"points_per_sec\": "
-        << json_escape_double(r.fast) << ", \"legacy_points_per_sec\": "
-        << json_escape_double(r.legacy) << ", \"speedup\": "
-        << json_escape_double(r.speedup) << ",\n     \"points\": [\n";
-    for (std::size_t p = 0; p < r.points.size(); ++p) {
-      const PointResult& pt = r.points[p];
-      out << "       {\"name\": \"" << pt.name << "\", \"fast_ms\": "
-          << json_escape_double(pt.fast_ms) << ", \"legacy_ms\": "
-          << json_escape_double(pt.legacy_ms) << ", \"speedup\": "
-          << json_escape_double(pt.speedup) << "}"
-          << (p + 1 < r.points.size() ? "," : "") << "\n";
+        << fixed3(r.points_per_sec) << ",\n     \"points\": [\n";
+    for (std::size_t p = 0; p < r.point_ms.size(); ++p) {
+      out << "       {\"name\": \"" << kPoints[p].name << "\", \"ms\": "
+          << fixed3(r.point_ms[p]) << "}"
+          << (p + 1 < r.point_ms.size() ? "," : "") << "\n";
     }
     out << "     ]}" << (i + 1 < rs.size() ? "," : "") << "\n";
   }
@@ -224,15 +167,12 @@ bool write_json(const std::string& path, const std::vector<PresetResult>& rs,
 
 int main(int argc, char** argv) {
   using namespace am;
-  CliParser cli(
-      "Simulator-core throughput: uncached sweep points per second, "
-      "rewritten core vs the frozen seed core");
+  CliParser cli("Simulator-core throughput: uncached sweep points per second");
   cli.add_flag("reps", "best-of repetitions per preset", "3",
                CliParser::FlagKind::kInt);
   cli.add_flag("scale", "point-list repetitions per rep (raises run length)",
                "1", CliParser::FlagKind::kInt);
-  cli.add_flag("json-out", "result JSON path (empty = skip)",
-               "BENCH_sim_core.json");
+  cli.add_flag("json-out", "result JSON path (empty = skip)", "");
   if (!cli.parse(argc, argv)) return 1;
   const int reps = std::max<int>(1, static_cast<int>(cli.get_int("reps")));
   const int scale = std::max<int>(1, static_cast<int>(cli.get_int("scale")));
@@ -242,22 +182,18 @@ int main(int argc, char** argv) {
     results.push_back(bench_preset(preset, reps, scale));
   }
 
-  Table table({"preset", "points/s (fast)", "points/s (seed)", "speedup"});
+  Table table({"preset", "points/s"});
   for (const PresetResult& r : results) {
-    table.add_row({r.preset, json_escape_double(r.fast),
-                   json_escape_double(r.legacy),
-                   json_escape_double(r.speedup) + "x"});
+    table.add_row({r.preset, fixed3(r.points_per_sec)});
   }
   std::cout << "\n== simulator core throughput (best of " << reps
             << ", " << std::size(kPoints) * scale << " points/rep) ==\n"
             << table;
 
-  Table detail({"point", "preset", "fast ms", "seed ms", "speedup"});
+  Table detail({"point", "preset", "ms"});
   for (const PresetResult& r : results) {
-    for (const PointResult& pt : r.points) {
-      detail.add_row({pt.name, r.preset, json_escape_double(pt.fast_ms),
-                      json_escape_double(pt.legacy_ms),
-                      json_escape_double(pt.speedup) + "x"});
+    for (std::size_t p = 0; p < r.point_ms.size(); ++p) {
+      detail.add_row({kPoints[p].name, r.preset, fixed3(r.point_ms[p])});
     }
   }
   std::cout << "\n" << detail;

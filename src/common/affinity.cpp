@@ -35,12 +35,4 @@ bool unpin_current_thread() noexcept {
 #endif
 }
 
-int current_cpu() noexcept {
-#ifdef __linux__
-  return sched_getcpu();
-#else
-  return -1;
-#endif
-}
-
 }  // namespace am

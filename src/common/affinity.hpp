@@ -15,7 +15,4 @@ bool pin_current_thread(int os_cpu_id) noexcept;
 /// Removes any affinity restriction from the calling thread.
 bool unpin_current_thread() noexcept;
 
-/// CPU the calling thread last ran on, or -1 when unknown.
-int current_cpu() noexcept;
-
 }  // namespace am

@@ -8,11 +8,6 @@
 
 namespace am {
 
-double Summary::ci95_halfwidth() const noexcept {
-  if (count < 2) return 0.0;
-  return 1.96 * stddev / std::sqrt(static_cast<double>(count));
-}
-
 double percentile(std::span<const double> sample, double q) {
   if (sample.empty()) return 0.0;
   if (q <= 0.0) return *std::min_element(sample.begin(), sample.end());
@@ -81,12 +76,6 @@ double min_max_ratio(std::span<const double> shares) {
   return *lo / *hi;
 }
 
-double coefficient_of_variation(std::span<const double> sample) {
-  const Summary s = summarize(sample);
-  if (s.mean == 0.0) return 0.0;
-  return s.stddev / s.mean;
-}
-
 // ---------------------------------------------------------------------------
 // LogHistogram
 // ---------------------------------------------------------------------------
@@ -137,25 +126,6 @@ void LogHistogram::add(double value) noexcept {
   }
   ++total_;
   sum_ += value;
-}
-
-void LogHistogram::merge(const LogHistogram& other) {
-  if (other.counts_.size() != counts_.size() || other.lo_ != lo_ ||
-      other.log_step_ != log_step_) {
-    throw std::invalid_argument("LogHistogram::merge: incompatible geometry");
-  }
-  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-  if (other.total_ > 0) {
-    if (total_ == 0) {
-      min_seen_ = other.min_seen_;
-      max_seen_ = other.max_seen_;
-    } else {
-      min_seen_ = std::min(min_seen_, other.min_seen_);
-      max_seen_ = std::max(max_seen_, other.max_seen_);
-    }
-  }
-  total_ += other.total_;
-  sum_ += other.sum_;
 }
 
 double LogHistogram::bucket_mid(std::size_t i) const {
@@ -253,14 +223,6 @@ LeastSquaresFit least_squares(const std::vector<std::vector<double>>& rows,
   return fit;
 }
 
-LeastSquaresFit linear_regression(std::span<const double> x,
-                                  std::span<const double> y) {
-  std::vector<std::vector<double>> rows;
-  rows.reserve(x.size());
-  for (double xi : x) rows.push_back({1.0, xi});
-  return least_squares(rows, y);
-}
-
 double mape(std::span<const double> predicted, std::span<const double> actual) {
   if (predicted.size() != actual.size() || predicted.empty()) return 0.0;
   double acc = 0.0;
@@ -282,16 +244,6 @@ double max_relative_error(std::span<const double> predicted,
     worst = std::max(worst, std::fabs((predicted[i] - actual[i]) / actual[i]));
   }
   return worst;
-}
-
-double geometric_mean(std::span<const double> sample) {
-  if (sample.empty()) return 0.0;
-  double log_sum = 0.0;
-  for (double v : sample) {
-    if (v <= 0.0) return 0.0;
-    log_sum += std::log(v);
-  }
-  return std::exp(log_sum / static_cast<double>(sample.size()));
 }
 
 }  // namespace am

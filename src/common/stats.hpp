@@ -1,5 +1,5 @@
 // Statistics toolkit used throughout the measurement engine and the model:
-// summary statistics with confidence intervals, latency histograms,
+// summary statistics, latency histograms,
 // fairness indices (the paper reports fairness as one of its four metrics),
 // and small-scale least-squares fitting used by model calibration.
 #pragma once
@@ -12,8 +12,7 @@
 
 namespace am {
 
-/// Five-number-style summary of a sample, plus moments and a normal-theory
-/// confidence interval for the mean.
+/// Five-number-style summary of a sample, plus moments.
 struct Summary {
   std::size_t count = 0;
   double mean = 0.0;
@@ -23,10 +22,6 @@ struct Summary {
   double p50 = 0.0;
   double p90 = 0.0;
   double p99 = 0.0;
-
-  /// Half-width of the 95% confidence interval for the mean
-  /// (1.96 * stddev / sqrt(n); 0 for n < 2).
-  double ci95_halfwidth() const noexcept;
 };
 
 /// Computes a Summary over @p sample. Does not need the input sorted.
@@ -45,9 +40,6 @@ double jain_fairness(std::span<const double> shares);
 /// 1 means every thread completed the same number of operations.
 double min_max_ratio(std::span<const double> shares);
 
-/// Coefficient of variation (stddev / mean); 0 when mean == 0.
-double coefficient_of_variation(std::span<const double> sample);
-
 // ---------------------------------------------------------------------------
 // Histogram
 // ---------------------------------------------------------------------------
@@ -63,7 +55,6 @@ class LogHistogram {
   LogHistogram(double lo, double hi, int per_decade = 16);
 
   void add(double value) noexcept;
-  void merge(const LogHistogram& other);
 
   std::uint64_t total_count() const noexcept { return total_; }
   double value_at_percentile(double q) const;
@@ -121,11 +112,6 @@ struct LeastSquaresFit {
 LeastSquaresFit least_squares(const std::vector<std::vector<double>>& rows,
                               std::span<const double> y);
 
-/// Simple linear regression y = a + b*x. Returns {a, b, r^2} packed in a fit
-/// with coefficients = {a, b}.
-LeastSquaresFit linear_regression(std::span<const double> x,
-                                  std::span<const double> y);
-
 // ---------------------------------------------------------------------------
 // Error metrics (model validation)
 // ---------------------------------------------------------------------------
@@ -137,8 +123,5 @@ double mape(std::span<const double> predicted, std::span<const double> actual);
 /// Largest absolute relative error over the grid (fraction).
 double max_relative_error(std::span<const double> predicted,
                           std::span<const double> actual);
-
-/// Geometric mean of a positive sample (0 if any element <= 0 or empty).
-double geometric_mean(std::span<const double> sample);
 
 }  // namespace am

@@ -116,14 +116,6 @@ bool PerfCounterGroup::available() const noexcept {
   return false;
 }
 
-std::vector<PerfEvent> PerfCounterGroup::live_events() const {
-  std::vector<PerfEvent> live;
-  for (const auto& c : counters_) {
-    if (c.fd >= 0) live.push_back(c.event);
-  }
-  return live;
-}
-
 void PerfCounterGroup::enable() noexcept {
 #ifdef __linux__
   for (const auto& c : counters_) {

@@ -47,8 +47,6 @@ class PerfCounterGroup {
 
   /// True when at least one requested event opened successfully.
   bool available() const noexcept;
-  /// Events that actually opened.
-  std::vector<PerfEvent> live_events() const;
 
   void enable() noexcept;
   void disable() noexcept;

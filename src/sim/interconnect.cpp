@@ -6,16 +6,6 @@
 
 namespace am::sim {
 
-const char* to_string(Mesi s) noexcept {
-  switch (s) {
-    case Mesi::kInvalid: return "I";
-    case Mesi::kShared: return "S";
-    case Mesi::kExclusive: return "E";
-    case Mesi::kModified: return "M";
-  }
-  return "?";
-}
-
 const char* to_string(Supply s) noexcept {
   switch (s) {
     case Supply::kLocalHit: return "local-hit";

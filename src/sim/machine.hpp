@@ -21,11 +21,12 @@
 // tables at construction (sim/route_table.hpp), residency tracking is an
 // intrusive array-node LRU, and op streams are decoded once per op (or once
 // per run, for programs exposing a StaticPlan) into a POD the event loop
-// replays without touching std::optional or virtual dispatch. All of it is
-// behaviour-preserving to the byte: tests/sim/core_equivalence_test.cpp
-// replays a corpus through this core and the frozen seed implementation
-// (sim/legacy_machine.hpp) and asserts identical stats, traces and final
-// state.
+// replays without touching std::optional or virtual dispatch. The committed
+// goldens are the behavioural contract: tests/sim/core_equivalence_test.cpp
+// replays a corpus through this core and compares every stat, final line
+// state and result stream byte for byte against
+// tests/sim/golden/*_equivalence.digest (blessed from the original seed
+// core, which this rewrite matched exactly before it was removed).
 #pragma once
 
 #include <algorithm>

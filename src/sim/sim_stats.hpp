@@ -114,29 +114,6 @@ struct RunStats {
   std::vector<EpochSample> epochs;
 
   EnergyBreakdown energy;
-
-  // --- derived -------------------------------------------------------------
-  std::uint64_t total_ops() const noexcept;
-  std::uint64_t total_successes() const noexcept;
-  std::uint64_t total_attempts() const noexcept;
-
-  /// System throughput in operations per 1000 cycles.
-  double throughput_ops_per_kcycle() const noexcept;
-  /// System throughput in million operations per second (uses freq_ghz).
-  double throughput_mops() const noexcept;
-  /// Mean per-op latency across all threads, cycles.
-  double mean_latency_cycles() const noexcept;
-  /// Success fraction (successes / ops); 1.0 for primitives that cannot fail.
-  double success_rate() const noexcept;
-  /// Jain fairness index over per-thread completed ops.
-  double jain_fairness_ops() const;
-  /// min/max per-thread ops ratio.
-  double min_max_ops_ratio() const;
-  /// Energy per completed operation, nanojoules.
-  double energy_per_op_nj() const noexcept;
-
-  /// Per-thread op counts as doubles (fairness helpers).
-  std::vector<double> per_thread_ops() const;
 };
 
 }  // namespace am::sim

@@ -16,8 +16,6 @@ inline constexpr CoreId kNoCore = ~CoreId{0};
 /// state-priming experiments; both satisfy an RMW locally.
 enum class Mesi : std::uint8_t { kInvalid, kShared, kExclusive, kModified };
 
-const char* to_string(Mesi s) noexcept;
-
 /// Where the data supplying a request came from — the latency/energy class
 /// of a line transfer. The model's t_* parameters correspond 1:1 to these.
 enum class Supply : std::uint8_t {

@@ -130,9 +130,10 @@ TEST(PctScheduler, SteeredRunsAreDeterministic) {
   const RunOutcome a = run_program(sim::test_machine(4), program, 11, sched);
   const RunOutcome b = run_program(sim::test_machine(4), program, 11, sched);
   EXPECT_EQ(a.report.ok, b.report.ok);
-  EXPECT_EQ(a.stats.total_ops(), b.stats.total_ops());
   EXPECT_EQ(a.stats.measured_cycles, b.stats.measured_cycles);
+  ASSERT_EQ(a.stats.threads.size(), b.stats.threads.size());
   for (std::size_t c = 0; c < a.stats.threads.size(); ++c) {
+    EXPECT_EQ(a.stats.threads[c].ops, b.stats.threads[c].ops);
     EXPECT_EQ(a.stats.threads[c].exec_cycles, b.stats.threads[c].exec_cycles);
     EXPECT_EQ(a.stats.threads[c].wait_cycles, b.stats.threads[c].wait_cycles);
   }

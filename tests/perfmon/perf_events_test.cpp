@@ -33,12 +33,6 @@ TEST(PerfEvents, LifecycleNeverThrows) {
   }
 }
 
-TEST(PerfEvents, LiveEventsSubsetOfRequested) {
-  PerfCounterGroup g({PerfEvent::kCycles, PerfEvent::kBranchMisses});
-  const auto live = g.live_events();
-  EXPECT_LE(live.size(), 2u);
-}
-
 TEST(PerfEvents, TaskClockCountsWhenAvailable) {
   PerfCounterGroup g({PerfEvent::kTaskClockNs});
   if (!g.available()) GTEST_SKIP() << "perf_event_open not permitted here";

@@ -88,7 +88,7 @@ TEST(Protocol, CodedErrorEnvelopeRoundTrips) {
   EXPECT_NE(line.find("\"error\":\"try later\""), std::string::npos);
 }
 
-TEST(Protocol, LegacyErrorEnvelopeHasNoCode) {
+TEST(Protocol, UncodedErrorEnvelopeHasNoCode) {
   const std::string line = make_error_response("req-9", "plain message");
   EXPECT_EQ(response_error_code(line), "");
   EXPECT_NE(line.find("\"ok\":false"), std::string::npos);

@@ -1,6 +1,7 @@
 // Private-cache capacity and LRU eviction.
 #include <gtest/gtest.h>
 
+#include "bench_core/sim_backend.hpp"
 #include "sim/config.hpp"
 #include "sim/machine.hpp"
 #include "sim/program.hpp"
@@ -17,7 +18,8 @@ MachineConfig capped(std::uint32_t capacity) {
 TEST(Capacity, WorkingSetWithinCapacityStaysResident) {
   Machine m(capped(8));
   PrivateWalkProgram prog(Primitive::kFaa, 0, 8);
-  const RunStats st = m.run(prog, 1, 10'000, 100'000);
+  const bench::MeasuredRun st =
+      bench::to_measured_run(m.run(prog, 1, 10'000, 100'000), "");
   // After the first pass everything hits: ~no memory fetches in the window.
   EXPECT_LE(st.memory_fetches, 1u);
   EXPECT_EQ(st.evictions, 0u);
@@ -28,7 +30,8 @@ TEST(Capacity, WorkingSetWithinCapacityStaysResident) {
 TEST(Capacity, WorkingSetBeyondCapacityMissesEveryAccess) {
   Machine m(capped(8));
   PrivateWalkProgram prog(Primitive::kFaa, 0, 9);  // one line too many
-  const RunStats st = m.run(prog, 1, 10'000, 100'000);
+  const bench::MeasuredRun st =
+      bench::to_measured_run(m.run(prog, 1, 10'000, 100'000), "");
   // Cyclic walk + LRU: every access evicts the line needed furthest in the
   // future... which for LRU on a cyclic pattern means every access misses.
   EXPECT_NEAR(static_cast<double>(st.memory_fetches),
@@ -62,7 +65,8 @@ TEST(Capacity, SharedLineSurvivesBouncingWithTinyCache) {
   MachineConfig cfg = capped(1);
   Machine m(cfg);
   HighContentionProgram prog(Primitive::kFaa, 0);
-  const RunStats st = m.run(prog, 2, 10'000, 100'000);
+  const bench::MeasuredRun st =
+      bench::to_measured_run(m.run(prog, 2, 10'000, 100'000), "");
   EXPECT_GT(st.total_ops(), 100u);
   // All increments (warmup included) landed on the line despite evictions.
   EXPECT_GE(m.line_value(0), st.total_ops());
@@ -72,7 +76,8 @@ TEST(Capacity, ZeroCapacityIsClampedToOne) {
   MachineConfig cfg = capped(0);
   Machine m(cfg);
   HighContentionProgram prog(Primitive::kFaa, 0);
-  const RunStats st = m.run(prog, 1, 0, 50'000);
+  const bench::MeasuredRun st =
+      bench::to_measured_run(m.run(prog, 1, 0, 50'000), "");
   EXPECT_GT(st.total_ops(), 100u);
 }
 

@@ -1,21 +1,22 @@
-// Differential byte-identity harness for the fast-path simulator core.
+// Byte-identity harness for the simulator core.
 //
-// Every case replays one deterministic workload through BOTH cores — the
-// live sim::Machine and the frozen seed implementation in
-// sim::legacy::Machine — and renders an exhaustive text digest of the run:
-// every RunStats field (doubles in hexfloat, so equality is bit equality),
-// the final directory state of every touched line, the per-core OpResult
-// streams, and the SimBackend cache-identity string. The suite asserts
-//   (a) new digest == legacy digest for every case (the differential
-//       proof: the rewrite changed the data layout, not the simulation),
-//   (b) the concatenated corpus == the committed golden snapshot captured
-//       from the seed core (the drift guard: the pair cannot wander off
-//       together; cached sweep results stay valid).
+// Every case replays one deterministic workload through sim::Machine and
+// renders an exhaustive text digest of the run: every RunStats field
+// (doubles in hexfloat, so equality is bit equality), the final directory
+// state of every touched line, the per-core OpResult streams, and the
+// SimBackend cache-identity string. The concatenated corpus must equal the
+// committed golden snapshot under tests/sim/golden/. Those files were blessed
+// from the original seed core over exactly this corpus, and the fast-path
+// rewrite matched that core case by case before it was retired, so the
+// goldens are the differential reference: a core that reproduces them
+// reproduces the seed core, and cached sweep results stay valid.
 // Deliberate behaviour changes are re-blessed with
 // scripts/regen_golden_traces.sh (AM_REGEN_GOLDEN=1), which rewrites the
-// corpus files alongside the text traces.
+// corpus files from this core alongside the text traces; each re-bless
+// needs a CHANGES.md entry explaining the behaviour change.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
@@ -28,7 +29,6 @@
 #include "bench_core/sim_backend.hpp"
 #include "conformance/generator.hpp"
 #include "sim/config.hpp"
-#include "sim/legacy_machine.hpp"
 #include "sim/machine.hpp"
 #include "sim/program.hpp"
 
@@ -105,9 +105,7 @@ void digest_stats(std::ostringstream& os, const sim::RunStats& rs) {
 }
 
 /// Final machine state: every touched line's directory record, ascending.
-/// Works on either core (identical public surface).
-template <class M>
-void digest_state(std::ostringstream& os, const M& m) {
+void digest_state(std::ostringstream& os, const sim::Machine& m) {
   for (const sim::LineId id : m.touched_lines()) {
     const auto snap = m.snapshot_line(id);
     os << "line[" << id << "] owner=";
@@ -135,11 +133,10 @@ struct CaseSpec {
   sim::Cycles epoch_cycles = 0;
 };
 
-/// Runs one case on machine type M and renders the full digest.
-template <class M>
+/// Runs one case and renders the full digest.
 std::string run_case(const sim::MachineConfig& config, std::uint64_t seed,
                      const CaseSpec& spec) {
-  M machine(config, seed);
+  sim::Machine machine(config, seed);
   machine.set_line_profiling(spec.profile_lines);
   machine.set_epoch_cycles(spec.epoch_cycles);
   std::unique_ptr<sim::ThreadProgram> program = spec.make_program();
@@ -300,14 +297,25 @@ std::string identity_block(const sim::MachineConfig& config) {
   return "cache_identity=" + backend.cache_identity() + "\n";
 }
 
-template <class M>
-std::string corpus_digest(const sim::MachineConfig& config) {
-  const Corpus corpus = build_corpus();
-  std::string out = identity_block(config);
-  for (const auto& [seed, spec] : corpus.cases) {
-    out += run_case<M>(config, seed, spec);
-  }
-  return out;
+/// Locates the first byte where @p got and @p want differ: the corpus case
+/// holding it (the "== name ==" header before it) and the differing line on
+/// each side, so a failure does not dump the whole multi-kilobyte corpus.
+std::string describe_divergence(const std::string& got,
+                                const std::string& want) {
+  const std::size_t at = static_cast<std::size_t>(
+      std::mismatch(got.begin(), got.end(), want.begin(), want.end()).first -
+      got.begin());
+  const auto line_at = [at](const std::string& s) {
+    const std::size_t start = at == 0 ? 0 : s.rfind('\n', at - 1) + 1;
+    return s.substr(start, s.find('\n', start) - start);
+  };
+  const std::size_t header = got.rfind("\n== ", at);
+  const std::string name =
+      header == std::string::npos
+          ? "cache_identity"
+          : got.substr(header + 4, got.find(" ==", header + 4) - header - 4);
+  return "first in case '" + name + "':\n  got:  " + line_at(got) +
+         "\n  want: " + line_at(want);
 }
 
 // --- tests -----------------------------------------------------------------
@@ -315,27 +323,16 @@ std::string corpus_digest(const sim::MachineConfig& config) {
 void check_preset(const sim::MachineConfig& config,
                   const std::string& golden_name) {
   const Corpus corpus = build_corpus();
-
-  // (a) differential: new core vs frozen seed core, case by case so a
-  // divergence names its workload.
   std::string combined = identity_block(config);
   for (const auto& [seed, spec] : corpus.cases) {
-    const std::string fresh = run_case<sim::Machine>(config, seed, spec);
-    const std::string reference =
-        run_case<sim::legacy::Machine>(config, seed, spec);
-    ASSERT_EQ(fresh, reference)
-        << "fast-path core diverged from the seed core on case '" << spec.name
-        << "' (preset " << config.name << ", seed " << seed << ")";
-    combined += fresh;
+    combined += run_case(config, seed, spec);
   }
 
-  // (b) golden snapshot captured from the seed core.
   const std::string path = std::string(AM_GOLDEN_DIR) + "/" + golden_name;
   if (std::getenv("AM_REGEN_GOLDEN") != nullptr) {
-    const std::string blessed = corpus_digest<sim::legacy::Machine>(config);
     std::ofstream out(path, std::ios::binary);
     ASSERT_TRUE(out.good()) << "cannot write golden " << path;
-    out << blessed;
+    out << combined;
     GTEST_SKIP() << "golden corpus regenerated: " << path;
   }
 
@@ -345,10 +342,12 @@ void check_preset(const sim::MachineConfig& config,
       << " — run scripts/regen_golden_traces.sh to create it";
   std::ostringstream expected;
   expected << in.rdbuf();
-  EXPECT_EQ(combined, expected.str())
-      << "run digest diverged from " << path
-      << " — if the change is intentional, re-bless with "
-         "scripts/regen_golden_traces.sh";
+  if (combined != expected.str()) {
+    ADD_FAILURE() << "run digest diverged from " << path << ", "
+                  << describe_divergence(combined, expected.str())
+                  << "\nif the change is intentional, re-bless with "
+                     "scripts/regen_golden_traces.sh";
+  }
 }
 
 TEST(CoreEquivalence, XeonPreset) {

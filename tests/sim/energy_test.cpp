@@ -2,6 +2,7 @@
 // on (energy per op rises with contention; spin energy dominates waiting).
 #include <gtest/gtest.h>
 
+#include "bench_core/sim_backend.hpp"
 #include "sim/config.hpp"
 #include "sim/energy_model.hpp"
 #include "sim/machine.hpp"
@@ -48,7 +49,8 @@ TEST(EnergyEmergent, EnergyPerOpGrowsWithContention) {
   for (auto [n, out] : {std::pair<CoreId, double*>{2, &e2}, {16, &e16}}) {
     Machine m(xeon_e5_2x18());
     HighContentionProgram prog(Primitive::kFaa, 0);
-    const RunStats st = m.run(prog, n, 20'000, 200'000);
+    const bench::MeasuredRun st =
+        bench::to_measured_run(m.run(prog, n, 20'000, 200'000), "");
     *out = st.energy_per_op_nj();
   }
   // More threads spin longer per completed op: energy/op rises sharply.
@@ -59,11 +61,14 @@ TEST(EnergyEmergent, PrivateLinesAreCheapest) {
   Machine shared(xeon_e5_2x18());
   HighContentionProgram hc(Primitive::kFaa, 0);
   const double e_shared =
-      shared.run(hc, 8, 20'000, 200'000).energy_per_op_nj();
+      bench::to_measured_run(shared.run(hc, 8, 20'000, 200'000), "")
+          .energy_per_op_nj();
 
   Machine priv(xeon_e5_2x18());
   LowContentionProgram lc(Primitive::kFaa, 0);
-  const double e_priv = priv.run(lc, 8, 20'000, 200'000).energy_per_op_nj();
+  const double e_priv =
+      bench::to_measured_run(priv.run(lc, 8, 20'000, 200'000), "")
+          .energy_per_op_nj();
 
   EXPECT_GT(e_shared, 5.0 * e_priv);
 }

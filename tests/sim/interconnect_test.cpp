@@ -70,7 +70,6 @@ TEST(Uniform, SingleClass) {
 }
 
 TEST(Names, EnumToString) {
-  EXPECT_STREQ(to_string(Mesi::kModified), "M");
   EXPECT_STREQ(to_string(Supply::kFar), "far");
   EXPECT_STREQ(to_string(Arbitration::kFifo), "fifo");
   EXPECT_STREQ(to_string(Arbitration::kProximityBiased), "proximity-biased");

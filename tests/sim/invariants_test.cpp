@@ -17,6 +17,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "bench_core/sim_backend.hpp"
 #include "obs/trace.hpp"
 #include "sim/config.hpp"
 #include "sim/machine.hpp"
@@ -142,7 +143,7 @@ void run_randomized(const std::string& preset, std::uint64_t seed) {
   }
 
   EXPECT_GT(sink.events(), 0u) << "sink saw no protocol steps";
-  EXPECT_GT(stats.total_ops(), 0u);
+  EXPECT_GT(bench::to_measured_run(stats, "").total_ops(), 0u);
   check_external_consistency(machine);
 }
 

@@ -3,6 +3,7 @@
 // bookkeeping, and determinism.
 #include <gtest/gtest.h>
 
+#include "bench_core/sim_backend.hpp"
 #include "sim/config.hpp"
 #include "sim/machine.hpp"
 #include "sim/program.hpp"
@@ -87,7 +88,8 @@ TEST(MachineSingleOp, SoleLoadFromMemoryGetsExclusive) {
 TEST(MachineRun, SingleCoreFaaThroughputIsLocalCost) {
   Machine m(tiny());
   HighContentionProgram prog(Primitive::kFaa, 0);
-  const RunStats st = m.run(prog, 1, 10'000, 100'000);
+  const bench::MeasuredRun st =
+      bench::to_measured_run(m.run(prog, 1, 10'000, 100'000), "");
   const double per_op = kL1 + exec_of(tiny(), Primitive::kFaa);
   const double expected_ops = 100'000.0 / per_op;
   EXPECT_NEAR(static_cast<double>(st.total_ops()), expected_ops,
@@ -98,7 +100,8 @@ TEST(MachineRun, SingleCoreFaaThroughputIsLocalCost) {
 TEST(MachineRun, TwoCoreFaaSerializesOnHandoffs) {
   Machine m(tiny(2));
   HighContentionProgram prog(Primitive::kFaa, 0);
-  const RunStats st = m.run(prog, 2, 20'000, 200'000);
+  const bench::MeasuredRun st =
+      bench::to_measured_run(m.run(prog, 2, 20'000, 200'000), "");
   // Steady state: every op needs a transfer: hold = xfer + l1 + exec.
   const double hold = kXfer + kL1 + exec_of(tiny(), Primitive::kFaa);
   const double expected_ops = 200'000.0 / hold;
@@ -116,7 +119,8 @@ TEST(MachineRun, ThroughputPlateausBeyondTwoCores) {
   for (CoreId n : {2u, 4u, 8u}) {
     Machine m(tiny(8));
     HighContentionProgram prog(Primitive::kFaa, 0);
-    const RunStats st = m.run(prog, n, 20'000, 200'000);
+    const bench::MeasuredRun st =
+        bench::to_measured_run(m.run(prog, n, 20'000, 200'000), "");
     tput[i++] = st.throughput_ops_per_kcycle();
   }
   EXPECT_NEAR(tput[1], tput[0], tput[0] * 0.05);
@@ -126,7 +130,8 @@ TEST(MachineRun, ThroughputPlateausBeyondTwoCores) {
 TEST(MachineRun, LoadsScaleOnSharedLine) {
   Machine m(tiny(8));
   HighContentionProgram prog(Primitive::kLoad, 0);
-  const RunStats st = m.run(prog, 8, 20'000, 100'000);
+  const bench::MeasuredRun st =
+      bench::to_measured_run(m.run(prog, 8, 20'000, 100'000), "");
   // After warmup everyone holds a Shared copy: throughput ~ 8 / (l1+exec).
   const double per_op = kL1 + exec_of(tiny(), Primitive::kLoad);
   const double expected = 8.0 * 1000.0 / per_op;
@@ -139,12 +144,14 @@ TEST(MachineRun, PerOpLatencyGrowsLinearlyWithCores) {
   {
     Machine m(tiny(8));
     HighContentionProgram prog(Primitive::kFaa, 0);
-    lat4 = m.run(prog, 4, 20'000, 200'000).mean_latency_cycles();
+    lat4 = bench::to_measured_run(m.run(prog, 4, 20'000, 200'000), "")
+               .mean_latency_cycles();
   }
   {
     Machine m(tiny(8));
     HighContentionProgram prog(Primitive::kFaa, 0);
-    lat8 = m.run(prog, 8, 20'000, 200'000).mean_latency_cycles();
+    lat8 = bench::to_measured_run(m.run(prog, 8, 20'000, 200'000), "")
+               .mean_latency_cycles();
   }
   EXPECT_NEAR(lat8 / lat4, 2.0, 0.15);
 }
@@ -152,7 +159,8 @@ TEST(MachineRun, PerOpLatencyGrowsLinearlyWithCores) {
 TEST(MachineRun, PrivateLinesDoNotInterfere) {
   Machine m(tiny(4));
   LowContentionProgram prog(Primitive::kFaa, 0);
-  const RunStats st = m.run(prog, 4, 10'000, 100'000);
+  const bench::MeasuredRun st =
+      bench::to_measured_run(m.run(prog, 4, 10'000, 100'000), "");
   const double per_op = kL1 + exec_of(tiny(), Primitive::kFaa);
   const double expected = 4.0 * 1000.0 / per_op;
   EXPECT_NEAR(st.throughput_ops_per_kcycle(), expected, expected * 0.02);
@@ -163,7 +171,8 @@ TEST(MachineRun, PrivateLinesDoNotInterfere) {
 TEST(MachineRun, ValueMatchesCompletedIncrements) {
   Machine m(tiny(4));
   HighContentionProgram prog(Primitive::kFaa, 0);
-  const RunStats st = m.run(prog, 4, 0, 50'000);
+  const bench::MeasuredRun st =
+      bench::to_measured_run(m.run(prog, 4, 0, 50'000), "");
   // Every completed FAA increments line 0 by 1; ops counted over the whole
   // run here because warmup == 0 (plus possibly in-flight stragglers).
   EXPECT_GE(m.line_value(0), st.total_ops());
@@ -174,7 +183,8 @@ TEST(MachineRun, DeterministicAcrossIdenticalRuns) {
   auto run_once = [] {
     Machine m(xeon_e5_2x18(), 7);
     HighContentionProgram prog(Primitive::kCas, 50);
-    const RunStats st = m.run(prog, 16, 10'000, 100'000);
+    const bench::MeasuredRun st =
+        bench::to_measured_run(m.run(prog, 16, 10'000, 100'000), "");
     return std::tuple(st.total_ops(), st.total_successes(),
                       st.mean_latency_cycles());
   };
@@ -203,7 +213,8 @@ TEST(MachineRun, WorkDelaysReduceContention) {
   const Cycles work = 4000;
   Machine m(tiny(4));
   HighContentionProgram prog(Primitive::kFaa, work);
-  const RunStats st = m.run(prog, 4, 50'000, 400'000);
+  const bench::MeasuredRun st =
+      bench::to_measured_run(m.run(prog, 4, 50'000, 400'000), "");
   const double hold = kXfer + kL1 + exec_of(tiny(), Primitive::kFaa);
   const double expected = 4.0 * 1000.0 / (static_cast<double>(work) + hold);
   EXPECT_NEAR(st.throughput_ops_per_kcycle(), expected, expected * 0.1);

@@ -4,6 +4,7 @@
 
 #include <tuple>
 
+#include "bench_core/sim_backend.hpp"
 #include "sim/config.hpp"
 #include "sim/machine.hpp"
 #include "sim/program.hpp"
@@ -23,10 +24,11 @@ TEST_P(MachineInvariants, HoldOnHighContentionRuns) {
   HighContentionProgram prog(prim, 0);
   // warmup == 0 so the line value can be compared against window counts.
   const RunStats st = m.run(prog, threads, 0, 120'000);
+  const bench::MeasuredRun run = bench::to_measured_run(st, "");
 
   // 1. Progress.
-  ASSERT_GT(st.total_ops(), 0u);
-  EXPECT_GT(st.throughput_ops_per_kcycle(), 0.0);
+  ASSERT_GT(run.total_ops(), 0u);
+  EXPECT_GT(run.throughput_ops_per_kcycle(), 0.0);
 
   // 2. Count algebra per thread.
   for (const auto& t : st.threads) {
@@ -47,15 +49,15 @@ TEST_P(MachineInvariants, HoldOnHighContentionRuns) {
   if (prim == Primitive::kFaa || prim == Primitive::kCas ||
       prim == Primitive::kCasLoop) {
     // Every success added exactly 1; stragglers after the window add a few.
-    EXPECT_GE(m.line_value(0), st.total_successes());
-    EXPECT_LE(m.line_value(0), st.total_successes() + threads + 1);
+    EXPECT_GE(m.line_value(0), run.total_successes());
+    EXPECT_LE(m.line_value(0), run.total_successes() + threads + 1);
   }
 
   // 4. Fairness indices in range.
-  EXPECT_GT(st.jain_fairness_ops(), 0.0);
-  EXPECT_LE(st.jain_fairness_ops(), 1.0 + 1e-9);
-  EXPECT_GE(st.min_max_ops_ratio(), 0.0);
-  EXPECT_LE(st.min_max_ops_ratio(), 1.0 + 1e-9);
+  EXPECT_GT(run.jain_fairness(), 0.0);
+  EXPECT_LE(run.jain_fairness(), 1.0 + 1e-9);
+  EXPECT_GE(run.min_max_ratio(), 0.0);
+  EXPECT_LE(run.min_max_ratio(), 1.0 + 1e-9);
 
   // 5. Energy is positive and decomposes.
   const auto& e = st.energy;
@@ -104,7 +106,8 @@ TEST_P(WorkMonotonicity, ThroughputNonIncreasingInWork) {
   for (Cycles w : {0u, 200u, 1000u, 4000u, 16000u}) {
     Machine m(cfg, 5);
     HighContentionProgram prog(prim, w);
-    const RunStats st = m.run(prog, 8, 20'000, 150'000);
+    const bench::MeasuredRun st =
+        bench::to_measured_run(m.run(prog, 8, 20'000, 150'000), "");
     const double x = st.throughput_ops_per_kcycle();
     EXPECT_LE(x, prev * 1.02) << "w=" << w;  // 2% tolerance for granularity
     prev = x;
@@ -126,7 +129,8 @@ TEST(LatencyMonotonicity, MeanLatencyNonDecreasingInThreads) {
   for (CoreId n : {1u, 2u, 4u, 8u, 16u}) {
     Machine m(test_machine(16), 7);
     HighContentionProgram prog(Primitive::kFaa, 0);
-    const RunStats st = m.run(prog, n, 20'000, 150'000);
+    const bench::MeasuredRun st =
+        bench::to_measured_run(m.run(prog, n, 20'000, 150'000), "");
     EXPECT_GE(st.mean_latency_cycles(), prev * 0.99) << "n=" << n;
     prev = st.mean_latency_cycles();
   }
@@ -142,14 +146,16 @@ TEST(SeedSensitivity, BiasedArbitrationVariesButBounded) {
   {
     Machine m(xeon_e5_2x18(), 1);
     HighContentionProgram prog(Primitive::kFaa, 0);
-    const RunStats st = m.run(prog, 24, 20'000, 150'000);
+    const bench::MeasuredRun st =
+        bench::to_measured_run(m.run(prog, 24, 20'000, 150'000), "");
     x1 = st.throughput_ops_per_kcycle();
     ops1 = st.threads[0].ops;
   }
   {
     Machine m(xeon_e5_2x18(), 2);
     HighContentionProgram prog(Primitive::kFaa, 0);
-    const RunStats st = m.run(prog, 24, 20'000, 150'000);
+    const bench::MeasuredRun st =
+        bench::to_measured_run(m.run(prog, 24, 20'000, 150'000), "");
     x2 = st.throughput_ops_per_kcycle();
     ops2 = st.threads[0].ops;
   }

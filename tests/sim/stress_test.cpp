@@ -5,6 +5,7 @@
 
 #include <map>
 
+#include "bench_core/sim_backend.hpp"
 #include "sim/config.hpp"
 #include "sim/machine.hpp"
 #include "sim/program.hpp"
@@ -58,13 +59,14 @@ TEST_P(ProtocolStress, RandomStreamsKeepInvariants) {
       static_cast<CoreId>(2 + seed % (cfg.core_count() - 1));
   RunStats st;
   ASSERT_NO_THROW(st = m.run(prog, threads, 0, 60'000)) << "seed " << seed;
-  EXPECT_GT(st.total_ops(), 0u);
+  const std::uint64_t ops = bench::to_measured_run(st, "").total_ops();
+  EXPECT_GT(ops, 0u);
 
   // Value sanity: every line's final value is reachable by the primitives
   // (bounded by total ops, since each op changes a value by at most setting
   // it to <100 or incrementing).
   for (LineId line = 0; line < 6; ++line) {
-    EXPECT_LT(m.line_value(line), st.total_ops() + 100 + threads);
+    EXPECT_LT(m.line_value(line), ops + 100 + threads);
   }
 }
 
@@ -76,7 +78,8 @@ TEST(ProtocolStress, ParanoidChecksAreCheapEnoughForTests) {
   cfg.paranoid_checks = true;
   Machine m(cfg);
   HighContentionProgram prog(Primitive::kFaa, 0);
-  const RunStats st = m.run(prog, 8, 0, 100'000);
+  const bench::MeasuredRun st =
+      bench::to_measured_run(m.run(prog, 8, 0, 100'000), "");
   EXPECT_GT(st.total_ops(), 500u);
 }
 

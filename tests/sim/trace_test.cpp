@@ -5,6 +5,7 @@
 #include <sstream>
 #include <vector>
 
+#include "bench_core/sim_backend.hpp"
 #include "common/json.hpp"
 #include "obs/trace.hpp"
 #include "sim/config.hpp"
@@ -212,7 +213,7 @@ TEST(StructuredTrace, EpochSamplerCoversTheMeasureWindow) {
     EXPECT_EQ(stats.epochs[i].start, i * 500u);
     ops += stats.epochs[i].ops;
   }
-  EXPECT_EQ(ops, stats.total_ops());
+  EXPECT_EQ(ops, bench::to_measured_run(stats, "").total_ops());
   // Under saturation every epoch does work.
   for (const auto& e : stats.epochs) {
     EXPECT_GT(e.ops, 0u);
