@@ -69,8 +69,7 @@ int main(int argc, char** argv) {
   const std::string save_path = cli.get("save");
   if (!save_path.empty()) {
     if (model::save_params_file(model.params(), save_path)) {
-      std::printf("calibrated parameters saved to %s (reload with "
-                  "model::load_params_file)\n",
+      std::printf("calibrated parameters saved to %s (amp1 text export)\n",
                   save_path.c_str());
     } else {
       std::printf("failed to write %s\n", save_path.c_str());

@@ -80,11 +80,6 @@ std::uint64_t splitmix64(std::uint64_t x) noexcept {
   return x ^ (x >> 31);
 }
 
-std::uint64_t point_seed(std::uint64_t base_seed, std::uint64_t index) noexcept {
-  const std::uint64_t s = splitmix64(splitmix64(base_seed) ^ index);
-  return s == 0 ? 0x9e3779b97f4a7c15ULL : s;
-}
-
 std::string jobs_trace_conflict(std::int64_t jobs, bool trace_requested) {
   if (!trace_requested || jobs <= 1) return "";
   return "--trace-out writes a single ordered trace stream and requires a "
@@ -202,7 +197,8 @@ const JsonValue& require_array(const JsonValue& obj, std::string_view key) {
 
 std::uint64_t sweep_point_seed(std::uint64_t base_seed,
                                std::uint64_t index) noexcept {
-  return point_seed(base_seed, index);
+  const std::uint64_t s = splitmix64(splitmix64(base_seed) ^ index);
+  return s == 0 ? 0x9e3779b97f4a7c15ULL : s;
 }
 
 std::string sweep_cache_key(const std::string& backend_identity,
@@ -356,6 +352,16 @@ std::optional<MeasuredRun> parse_measured_run(const std::string& text,
   }
 }
 
+sweep::CacheEntry sweep::read_cache_entry(const std::string& cache_dir,
+                                          const std::string& key) {
+  CacheEntry entry;
+  entry.path = cache_dir + "/" + key + ".json";
+  std::string bytes;
+  entry.io = read_file_with_retry(entry.path, bytes);
+  if (entry.io == IoResult::kOk) entry.run = parse_measured_run(bytes, key);
+  return entry;
+}
+
 // ---------------------------------------------------------------------------
 // Engine
 // ---------------------------------------------------------------------------
@@ -447,7 +453,7 @@ std::size_t SweepEngine::submit(const WorkloadConfig& config) {
     const std::lock_guard<std::mutex> lock(impl_->mu);
     index = impl_->points.size();
     p->index = index;
-    p->seed = point_seed(options_.base_seed, index);
+    p->seed = sweep_point_seed(options_.base_seed, index);
     impl_->points.push_back(std::move(p));
     // Lazy pool start: an engine that is never used costs no threads.
     if (impl_->workers.size() < jobs_ &&
@@ -468,7 +474,7 @@ std::size_t SweepEngine::submit_task(Task task) {
     const std::lock_guard<std::mutex> lock(impl_->mu);
     index = impl_->points.size();
     p->index = index;
-    p->seed = point_seed(options_.base_seed, index);
+    p->seed = sweep_point_seed(options_.base_seed, index);
     impl_->points.push_back(std::move(p));
     if (impl_->workers.size() < jobs_ &&
         impl_->workers.size() < impl_->points.size()) {
@@ -553,12 +559,13 @@ void SweepEngine::execute_point(Point& p) {
       key = sweep_cache_key(backend->cache_identity(), p.config, p.seed);
     }
     if (!key.empty()) {
-      cache_path = options_.cache_dir + "/" + key + ".json";
-      std::string bytes;
-      switch (sweep::read_file_with_retry(cache_path, bytes)) {
+      sweep::CacheEntry entry =
+          sweep::read_cache_entry(options_.cache_dir, key);
+      cache_path = entry.path;
+      switch (entry.io) {
         case sweep::IoResult::kOk:
-          if (auto cached = parse_measured_run(bytes, key)) {
-            p.result = std::move(*cached);
+          if (entry.run.has_value()) {
+            p.result = std::move(*entry.run);
             p.has_result = true;
             p.from_cache = true;
             p.local_log.push_back(RecordedRun{p.config, p.result});

@@ -10,9 +10,9 @@
 //
 // Determinism contract:
 //  * Point i runs on an independent backend seeded with
-//    point_seed(base_seed, i) (a splitmix64-style hash), so any point is
-//    replayable in isolation: build the same backend with that seed, run the
-//    same workload, get the same MeasuredRun.
+//    sweep_point_seed(base_seed, i) (a splitmix64-style hash), so any point
+//    is replayable in isolation: build the same backend with that seed, run
+//    the same workload, get the same MeasuredRun.
 //  * Results surface in submission order (drain() + result_or_null(i)),
 //    never in completion order.
 //  * With a result cache attached (SweepOptions::cache_dir), already-computed
@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "bench_core/backend.hpp"
+#include "bench_core/sweep_io.hpp"
 
 namespace am::bench {
 
@@ -42,10 +43,6 @@ inline constexpr const char* kSweepCacheVersion = "am-sweep-cache/1";
 /// splitmix64 finalizer — the statistically strong 64-bit mix used to derive
 /// independent per-point seeds from (base_seed, point_index).
 std::uint64_t splitmix64(std::uint64_t x) noexcept;
-
-/// Seed of sweep point @p index under @p base_seed. Never returns 0 (some
-/// PRNGs degenerate on an all-zero state).
-std::uint64_t point_seed(std::uint64_t base_seed, std::uint64_t index) noexcept;
 
 /// Validates the --jobs / --trace-out combination. A Chrome trace is one
 /// ordered event stream, so a sweep that traces must run serially; an
@@ -183,10 +180,10 @@ class SweepEngine {
 
 // --- cache plumbing (exposed for tests) -------------------------------------
 
-/// The per-point seed a sweep derives for point @p index under
-/// @p base_seed (splitmix64-chained). Exposed so out-of-process consumers
-/// of the disk cache (the fleet's stale-serve path) can address entries a
-/// SweepEngine wrote without running one.
+/// The seed of sweep point @p index under @p base_seed (splitmix64-chained).
+/// Never returns 0 (some PRNGs degenerate on an all-zero state). Public so
+/// out-of-process consumers of the disk cache (the fleet's stale-serve path)
+/// can address entries a SweepEngine wrote without running one.
 std::uint64_t sweep_point_seed(std::uint64_t base_seed,
                                std::uint64_t index) noexcept;
 
@@ -203,5 +200,22 @@ std::string serialize_measured_run(const MeasuredRun& run,
 /// key differs from @p key (hash collision / stale file).
 std::optional<MeasuredRun> parse_measured_run(const std::string& text,
                                               const std::string& key);
+
+namespace sweep {
+
+/// One sweep-cache entry as read from disk.
+struct CacheEntry {
+  std::string path;                   ///< <cache_dir>/<key>.json
+  IoResult io = IoResult::kMissing;   ///< how reading the file went
+  std::optional<MeasuredRun> run;     ///< set iff the bytes parse under key
+};
+
+/// Reads the cache entry of @p key under @p cache_dir (retrying transient
+/// errors). The only place the cache address is spelled out: the
+/// SweepEngine and the fleet's stale-serve path both read through here.
+CacheEntry read_cache_entry(const std::string& cache_dir,
+                            const std::string& key);
+
+}  // namespace sweep
 
 }  // namespace am::bench

@@ -19,15 +19,6 @@ std::uint64_t rdtscp() noexcept {
 #endif
 }
 
-std::uint64_t rdtsc() noexcept {
-#if defined(__x86_64__) || defined(__i386__)
-  return __rdtsc();
-#else
-  return static_cast<std::uint64_t>(
-      std::chrono::steady_clock::now().time_since_epoch().count());
-#endif
-}
-
 void cpu_relax() noexcept {
 #if defined(__x86_64__) || defined(__i386__)
   _mm_pause();

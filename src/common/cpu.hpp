@@ -12,13 +12,9 @@
 namespace am {
 
 /// Serializing read of the timestamp counter (RDTSCP ordering semantics on
-/// x86; falls back to a monotonic clock elsewhere). Suitable for the *end*
-/// of a timed region.
+/// x86; falls back to a monotonic clock elsewhere). The hardware backend
+/// brackets each timed region with two reads.
 std::uint64_t rdtscp() noexcept;
-
-/// Plain RDTSC (may execute early relative to preceding loads). Suitable for
-/// the *start* of a timed region when combined with a fence.
-std::uint64_t rdtsc() noexcept;
 
 /// Pause/spin-wait hint (x86 `pause`). Reduces the power drawn by a spinning
 /// hardware thread and frees pipeline resources for its SMT sibling, exactly

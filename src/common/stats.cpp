@@ -8,12 +8,10 @@
 
 namespace am {
 
-double percentile(std::span<const double> sample, double q) {
-  if (sample.empty()) return 0.0;
-  if (q <= 0.0) return *std::min_element(sample.begin(), sample.end());
-  if (q >= 100.0) return *std::max_element(sample.begin(), sample.end());
-  std::vector<double> sorted(sample.begin(), sample.end());
-  std::sort(sorted.begin(), sorted.end());
+double sorted_percentile(std::span<const double> sorted, double q) {
+  if (sorted.empty()) return 0.0;
+  if (q <= 0.0) return sorted.front();
+  if (q >= 100.0) return sorted.back();
   const double rank = q / 100.0 * static_cast<double>(sorted.size() - 1);
   const auto lo = static_cast<std::size_t>(rank);
   const double frac = rank - static_cast<double>(lo);
@@ -44,16 +42,9 @@ Summary summarize(std::span<const double> sample) {
                  : 0.0;
   std::vector<double> sorted(sample.begin(), sample.end());
   std::sort(sorted.begin(), sorted.end());
-  auto pct = [&](double q) {
-    const double rank = q / 100.0 * static_cast<double>(sorted.size() - 1);
-    const auto lo = static_cast<std::size_t>(rank);
-    const double frac = rank - static_cast<double>(lo);
-    if (lo + 1 >= sorted.size()) return sorted.back();
-    return sorted[lo] * (1.0 - frac) + sorted[lo + 1] * frac;
-  };
-  s.p50 = pct(50.0);
-  s.p90 = pct(90.0);
-  s.p99 = pct(99.0);
+  s.p50 = sorted_percentile(sorted, 50.0);
+  s.p90 = sorted_percentile(sorted, 90.0);
+  s.p99 = sorted_percentile(sorted, 99.0);
   return s;
 }
 

@@ -27,9 +27,10 @@ struct Summary {
 /// Computes a Summary over @p sample. Does not need the input sorted.
 Summary summarize(std::span<const double> sample);
 
-/// Linear-interpolated percentile (q in [0,100]) of @p sample.
-/// The input is copied and sorted internally.
-double percentile(std::span<const double> sample, double q);
+/// Linear-interpolated percentile (q in [0,100], clamped) of an
+/// ascending-sorted sample; 0 for an empty one. summarize() reports its
+/// p50/p90/p99 through it.
+double sorted_percentile(std::span<const double> sorted, double q);
 
 /// Jain's fairness index over per-thread shares x_i:
 ///   J = (sum x_i)^2 / (n * sum x_i^2), in (0, 1]; 1 == perfectly fair.

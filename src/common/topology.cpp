@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <fstream>
 #include <map>
-#include <set>
-#include <sstream>
 #include <thread>
 
 namespace am {
@@ -83,18 +81,6 @@ Topology Topology::synthetic(int packages, int cores_per_package,
   return topo;
 }
 
-std::size_t Topology::package_count() const noexcept {
-  std::set<int> pkgs;
-  for (const auto& c : cpus_) pkgs.insert(c.package);
-  return pkgs.size();
-}
-
-std::size_t Topology::core_count() const noexcept {
-  std::set<std::pair<int, int>> cores;
-  for (const auto& c : cpus_) cores.insert({c.package, c.core});
-  return cores.size();
-}
-
 std::vector<int> Topology::pin_sequence(PinOrder order) const {
   std::vector<LogicalCpu> sorted = cpus_;
   switch (order) {
@@ -128,27 +114,6 @@ std::vector<int> Topology::pin_sequence(PinOrder order) const {
   seq.reserve(sorted.size());
   for (const auto& c : sorted) seq.push_back(c.os_id);
   return seq;
-}
-
-bool Topology::same_core(std::size_t a, std::size_t b) const {
-  const auto& ca = cpus_.at(a);
-  const auto& cb = cpus_.at(b);
-  return ca.package == cb.package && ca.core == cb.core;
-}
-
-bool Topology::same_package(std::size_t a, std::size_t b) const {
-  return cpus_.at(a).package == cpus_.at(b).package;
-}
-
-std::string Topology::describe() const {
-  std::ostringstream os;
-  const std::size_t pkgs = package_count();
-  const std::size_t cores = core_count();
-  const std::size_t smt =
-      cores == 0 ? 1 : std::max<std::size_t>(1, cpus_.size() / cores);
-  os << pkgs << " package(s) x " << (pkgs == 0 ? 0 : cores / std::max<std::size_t>(1, pkgs))
-     << " core(s) x " << smt << " SMT = " << cpus_.size() << " logical CPUs";
-  return os.str();
 }
 
 }  // namespace am

@@ -44,22 +44,12 @@ class Topology {
                             int smt_per_core);
 
   std::size_t logical_cpu_count() const noexcept { return cpus_.size(); }
-  std::size_t package_count() const noexcept;
-  std::size_t core_count() const noexcept;
   const LogicalCpu& cpu(std::size_t i) const { return cpus_.at(i); }
   const std::vector<LogicalCpu>& cpus() const noexcept { return cpus_; }
 
   /// Returns os_ids in placement order for @p order, suitable for pinning
   /// thread i to result[i % size].
   std::vector<int> pin_sequence(PinOrder order) const;
-
-  /// True when the two logical CPUs share a physical core (SMT siblings).
-  bool same_core(std::size_t a, std::size_t b) const;
-  /// True when the two logical CPUs are on the same package.
-  bool same_package(std::size_t a, std::size_t b) const;
-
-  /// Human-readable one-line description, e.g. "2 packages x 18 cores x 2 SMT".
-  std::string describe() const;
 
  private:
   std::vector<LogicalCpu> cpus_;

@@ -43,10 +43,6 @@ std::size_t HashRing::first_slot(std::string_view key) const {
   return it == slots_.end() ? 0 : static_cast<std::size_t>(it - slots_.begin());
 }
 
-std::size_t HashRing::owner(std::string_view key) const {
-  return slots_[first_slot(key)].worker;
-}
-
 std::vector<std::size_t> HashRing::route_order(std::string_view key) const {
   std::vector<std::size_t> order;
   order.reserve(workers_);

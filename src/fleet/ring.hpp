@@ -23,11 +23,8 @@ class HashRing {
 
   std::size_t worker_count() const noexcept { return workers_; }
 
-  /// The worker owning @p key.
-  std::size_t owner(std::string_view key) const;
-
-  /// Every worker, owner first, then successors in ring order (each worker
-  /// once). Size == worker_count().
+  /// Every worker, the owner of @p key first, then successors in ring
+  /// order (each worker once). Size == worker_count().
   std::vector<std::size_t> route_order(std::string_view key) const;
 
   /// Fraction of a uniform keyspace each worker owns (diagnostics; sums

@@ -6,7 +6,6 @@
 
 #include "bench_core/sim_backend.hpp"
 #include "bench_core/sweep.hpp"
-#include "bench_core/sweep_io.hpp"
 #include "common/json.hpp"
 #include "obs/metrics.hpp"
 #include "sim/config.hpp"
@@ -158,15 +157,11 @@ std::string Router::stale_response(const service::Request& r,
       bench::sim_backend_cache_identity(mc, bench::SimBackendOptions{});
   const std::string key = bench::sweep_cache_key(
       identity, service::simulate_workload(q), bench::sweep_point_seed(q.seed, 0));
-  std::string bytes;
-  if (bench::sweep::read_file_with_retry(dir + "/" + key + ".json", bytes) !=
-      bench::sweep::IoResult::kOk) {
-    return "";
-  }
-  const auto run = bench::parse_measured_run(bytes, key);
-  if (!run.has_value()) return "";
+  const bench::sweep::CacheEntry entry =
+      bench::sweep::read_cache_entry(dir, key);
+  if (!entry.run.has_value()) return "";
   return service::make_result_response(
-      r, service::render_simulate_result(q, *run));
+      r, service::render_simulate_result(q, *entry.run));
 }
 
 service::HandleResult Router::promote(const service::Request& r) {
@@ -210,7 +205,8 @@ service::HandleResult Router::handle(const service::Request& r,
     // The front Server answers these itself; reaching here means a caller
     // wired the Router without one.
     out.response = service::make_error_response(
-        r.id, "kind not handled by fleet router");
+        r.id, service::errcode::kBadRequest,
+        "kind not handled by fleet router");
     out.ok = false;
     return out;
   }

@@ -9,24 +9,6 @@ double cas_success_deterministic(std::uint32_t threads) {
   return 1.0 / static_cast<double>(threads);
 }
 
-double cas_success_poisson(std::uint32_t threads) {
-  if (threads <= 1) return 1.0;
-  const double k = static_cast<double>(threads - 1);
-  // Root of f(s) = s - exp(-s k); f is strictly increasing with f(0) < 0
-  // and f(1) > 0, so bisection always converges.
-  double lo = 0.0;
-  double hi = 1.0;
-  for (int i = 0; i < 100; ++i) {
-    const double mid = 0.5 * (lo + hi);
-    if (mid - std::exp(-mid * k) < 0.0) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return 0.5 * (lo + hi);
-}
-
 SharesSuccess cas_success_from_shares(std::span<const double> grant_shares) {
   SharesSuccess out;
   out.per_core_success.assign(grant_shares.size(), 1.0);
@@ -62,11 +44,6 @@ SharesSuccess cas_success_from_shares(std::span<const double> grant_shares) {
         q > 0.0 ? std::pow(1.0 - s, total / q - 1.0) : 0.0;
   }
   return out;
-}
-
-double casloop_attempts_per_op(std::uint32_t threads) {
-  if (threads <= 1) return 1.0;
-  return 1.0 / cas_success_deterministic(threads);
 }
 
 }  // namespace am::model

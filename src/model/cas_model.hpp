@@ -19,15 +19,6 @@ namespace am::model {
 /// expectation, so the aggregate success rate is 1/N.
 double cas_success_deterministic(std::uint32_t threads);
 
-/// Success probability when attempt interleavings are randomized (timing
-/// jitter on real hardware): an attempt succeeds iff no other success landed
-/// between its expectation refresh and its execution. Modelling intervening
-/// successes as Poisson with mean s*(N-1) gives the fixed point
-///     s = exp(-s * (N - 1)),
-/// solved here by iteration. s ~ ln(N)/N for large N — slightly better than
-/// the deterministic 1/N but the same shape.
-double cas_success_poisson(std::uint32_t threads);
-
 /// Share-aware success model: when arbitration skews grant shares q_i
 /// (proximity bias), frequent winners see fewer intervening grants between
 /// their attempts and succeed more often. With mean success rate s, core i
@@ -35,17 +26,11 @@ double cas_success_poisson(std::uint32_t threads);
 ///     s_i = (1 - s)^(1/q_i - 1),   s = sum_i q_i * s_i,
 /// solved by bisection (the right side is decreasing in s). For uniform
 /// shares this reduces to (1-s)^(N-1) = s — the discrete analogue of the
-/// Poisson fixed point.
+/// Poisson fixed point s = exp(-s (N-1)).
 struct SharesSuccess {
   double mean_success = 1.0;           ///< attempt-weighted success rate
   std::vector<double> per_core_success;///< s_i per core (same order as q)
 };
 SharesSuccess cas_success_from_shares(std::span<const double> grant_shares);
-
-/// Expected line acquisitions per *completed* operation of a CAS retry loop
-/// (geometric in the success rate): N under maximal contention. This is the
-/// model's headline design signal — FAA completes one operation per
-/// acquisition, a CAS loop needs ~N, so FAA wins by ~N x.
-double casloop_attempts_per_op(std::uint32_t threads);
 
 }  // namespace am::model

@@ -2,7 +2,6 @@
 
 #include <fstream>
 #include <iomanip>
-#include <sstream>
 
 namespace am::model {
 
@@ -15,18 +14,6 @@ void write_vector(std::ostream& out, const char* name,
   out << name << ' ' << v.size();
   for (double x : v) out << ' ' << x;
   out << '\n';
-}
-
-bool read_vector(std::istream& in, const std::string& expected_name,
-                 std::vector<double>& v) {
-  std::string name;
-  std::size_t count = 0;
-  if (!(in >> name >> count) || name != expected_name) return false;
-  v.resize(count);
-  for (auto& x : v) {
-    if (!(in >> x)) return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -59,76 +46,11 @@ void save_params(const ModelParams& p, std::ostream& out) {
       << p.energy.memory_nj << ' ' << p.energy.freq_ghz << '\n';
 }
 
-std::optional<ModelParams> load_params(std::istream& in) {
-  std::string magic;
-  if (!(in >> magic) || magic != kMagic) return std::nullopt;
-
-  ModelParams p;
-  std::string key;
-  if (!(in >> key >> p.machine) || key != "machine") return std::nullopt;
-  if (!(in >> key >> p.freq_ghz) || key != "freq_ghz") return std::nullopt;
-  if (!(in >> key >> p.cores) || key != "cores") return std::nullopt;
-  if (!(in >> key >> p.l1_hit) || key != "l1_hit") return std::nullopt;
-  if (!(in >> key) || key != "exec_cost") return std::nullopt;
-  for (auto& c : p.exec_cost) {
-    if (!(in >> c)) return std::nullopt;
-  }
-  if (!(in >> key >> p.memory_fill) || key != "memory_fill") {
-    return std::nullopt;
-  }
-  if (!(in >> key >> p.shared_supply) || key != "shared_supply") {
-    return std::nullopt;
-  }
-  int arb = 0;
-  if (!(in >> key >> arb) || key != "arbitration" || arb < 0 || arb > 2) {
-    return std::nullopt;
-  }
-  p.arbitration = static_cast<sim::Arbitration>(arb);
-  if (!(in >> key >> p.aging_limit) || key != "aging_limit") {
-    return std::nullopt;
-  }
-  if (!(in >> key >> p.arbitration_bias) || key != "arbitration_bias") {
-    return std::nullopt;
-  }
-  if (!read_vector(in, "transfer", p.transfer)) return std::nullopt;
-  if (!read_vector(in, "hops", p.hops)) return std::nullopt;
-  std::size_t count = 0;
-  if (!(in >> key >> count) || key != "is_far") return std::nullopt;
-  p.is_far.resize(count);
-  for (auto& b : p.is_far) {
-    int v = 0;
-    if (!(in >> v)) return std::nullopt;
-    b = static_cast<std::uint8_t>(v != 0);
-  }
-  if (!read_vector(in, "distance", p.distance)) return std::nullopt;
-  if (!(in >> key) || key != "energy") return std::nullopt;
-  auto& e = p.energy;
-  if (!(in >> e.core_active_watts >> e.core_spin_watts >>
-        e.uncore_base_watts >> e.transfer_nj_per_hop >> e.transfer_nj_base >>
-        e.cross_link_nj >> e.directory_nj >> e.memory_nj >> e.freq_ghz)) {
-    return std::nullopt;
-  }
-
-  // Structural consistency: every matrix is cores x cores.
-  const std::size_t expect = static_cast<std::size_t>(p.cores) * p.cores;
-  if (p.transfer.size() != expect || p.hops.size() != expect ||
-      p.is_far.size() != expect || p.distance.size() != expect) {
-    return std::nullopt;
-  }
-  return p;
-}
-
 bool save_params_file(const ModelParams& params, const std::string& path) {
   std::ofstream out(path);
   if (!out) return false;
   save_params(params, out);
   return static_cast<bool>(out);
-}
-
-std::optional<ModelParams> load_params_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-  return load_params(in);
 }
 
 }  // namespace am::model

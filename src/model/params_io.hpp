@@ -1,13 +1,14 @@
-// Persistence for calibrated model parameters: calibrate a machine once,
-// save the parameters, and load them in later runs / on other hosts.
+// Export of calibrated model parameters in the amp1 text format: the
+// calibrate response embeds it and examples/calibrate_machine writes it to a
+// file, so a calibration can be archived or diffed. amp1 is export-only: the
+// library has no reader for it.
 //
-// Format: a self-describing line-oriented text file ("amp1" header), stable
-// across versions as long as fields are only appended. Matrices are stored
-// row-major; exact round-trip is covered by tests/model/params_io_test.cpp.
+// Format: a self-describing line-oriented text file ("amp1" header), fields
+// only ever appended. Doubles carry 17 significant digits and matrices are
+// stored row-major; tests/model/params_io_test.cpp pins the exact bytes.
 #pragma once
 
 #include <iosfwd>
-#include <optional>
 #include <string>
 
 #include "model/params.hpp"
@@ -17,12 +18,7 @@ namespace am::model {
 /// Serializes @p params into the amp1 text format.
 void save_params(const ModelParams& params, std::ostream& out);
 
-/// Parses an amp1 stream; returns nullopt on malformed input (wrong header,
-/// truncated matrices, non-numeric fields).
-std::optional<ModelParams> load_params(std::istream& in);
-
-/// Convenience file wrappers; false/nullopt on I/O failure.
+/// Writes save_params() output to @p path; false on I/O failure.
 bool save_params_file(const ModelParams& params, const std::string& path);
-std::optional<ModelParams> load_params_file(const std::string& path);
 
 }  // namespace am::model

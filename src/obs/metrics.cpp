@@ -42,16 +42,6 @@ std::array<std::uint64_t, Histogram::kBuckets> Histogram::bucket_counts()
   return out;
 }
 
-std::uint64_t Histogram::count() const noexcept {
-  std::uint64_t total = 0;
-  for (const Shard& s : shards_) {
-    for (const auto& b : s.buckets) {
-      total += b.load(std::memory_order_relaxed);
-    }
-  }
-  return total;
-}
-
 std::uint64_t Histogram::sum() const noexcept {
   std::uint64_t total = 0;
   for (const Shard& s : shards_) {
@@ -168,11 +158,6 @@ std::vector<const Instrument*> Registry::instruments() const {
   out.reserve(instruments_.size());
   for (const auto& [key, inst] : instruments_) out.push_back(inst.get());
   return out;
-}
-
-std::size_t Registry::size() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return instruments_.size();
 }
 
 Registry& default_registry() {

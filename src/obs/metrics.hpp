@@ -120,7 +120,6 @@ class Histogram {
 
   /// Racy-but-monotonic per-bucket totals (scrape/snapshot path).
   std::array<std::uint64_t, kBuckets> bucket_counts() const noexcept;
-  std::uint64_t count() const noexcept;
   std::uint64_t sum() const noexcept;
 
  private:
@@ -184,8 +183,6 @@ class Registry {
   /// pointers stay valid forever; the vector is a snapshot of the current
   /// registration set.
   std::vector<const Instrument*> instruments() const;
-
-  std::size_t size() const;
 
  private:
   Instrument& intern(std::string_view name, std::string_view help,

@@ -121,13 +121,6 @@ void render_prometheus(const Registry& registry, PromWriter& w) {
   }
 }
 
-std::string render_prometheus(const Registry& registry) {
-  std::string out;
-  PromWriter w(out);
-  render_prometheus(registry, w);
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // Parser
 // ---------------------------------------------------------------------------

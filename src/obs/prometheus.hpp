@@ -46,9 +46,8 @@ class PromWriter {
   std::string current_family_;
 };
 
-/// Renders every instrument of @p registry in exposition order.
-std::string render_prometheus(const Registry& registry);
-/// Same, appending into @p w (for callers mixing in derived families).
+/// Renders every instrument of @p registry in exposition order into @p w
+/// (callers append their derived families after it).
 void render_prometheus(const Registry& registry, PromWriter& w);
 
 /// One parsed sample line.

@@ -93,9 +93,4 @@ std::optional<WindowHistogram> RollingWindows::histogram_delta(
   return out;
 }
 
-std::size_t RollingWindows::samples() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return ring_.size();
-}
-
 }  // namespace am::obs::metrics

@@ -71,8 +71,6 @@ class RollingWindows {
                                                  double window_s,
                                                  std::uint64_t now_ms) const;
 
-  std::size_t samples() const;
-
  private:
   struct HistSnap {
     std::array<std::uint64_t, Histogram::kBuckets> buckets{};

@@ -11,18 +11,6 @@
 
 namespace am {
 
-const char* to_string(PerfEvent e) noexcept {
-  switch (e) {
-    case PerfEvent::kCycles: return "cycles";
-    case PerfEvent::kInstructions: return "instructions";
-    case PerfEvent::kCacheReferences: return "cache-references";
-    case PerfEvent::kCacheMisses: return "cache-misses";
-    case PerfEvent::kBranchMisses: return "branch-misses";
-    case PerfEvent::kTaskClockNs: return "task-clock";
-  }
-  return "?";
-}
-
 std::optional<std::uint64_t> PerfSample::get(PerfEvent e) const noexcept {
   for (const auto& [ev, v] : counts) {
     if (ev == e) return v;

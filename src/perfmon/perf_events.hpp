@@ -23,8 +23,6 @@ enum class PerfEvent : std::uint8_t {
   kTaskClockNs,
 };
 
-const char* to_string(PerfEvent e) noexcept;
-
 /// One reading: event -> count since enable(). Missing events are absent.
 struct PerfSample {
   std::vector<std::pair<PerfEvent, std::uint64_t>> counts;

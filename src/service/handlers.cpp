@@ -26,16 +26,6 @@ sim::MachineConfig machine_for(const std::string& name) {
   return sim::preset_by_name(name);
 }
 
-/// The error a predict or advise request gets for a thread count the machine
-/// does not have (empty when it fits).
-std::string threads_error(const model::BouncingModel& model,
-                          const std::string& machine, std::uint32_t threads) {
-  const std::uint32_t cores = model.params().cores;
-  if (threads <= cores) return "";
-  return "threads=" + std::to_string(threads) + " exceeds " + machine + "'s " +
-         std::to_string(cores) + " cores";
-}
-
 bench::WorkloadMode workload_mode(const std::string& mode) {
   if (mode == "private") return bench::WorkloadMode::kLowContention;
   if (mode == "mixed") return bench::WorkloadMode::kMixedReadWrite;
@@ -176,8 +166,16 @@ void ServiceCore::append_stats(JsonWriter& w) const {
   w.end_object();
 }
 
-ServiceCore::HandleResult ServiceCore::handle(const Request& r,
-                                              const RequestContext* ctx) {
+ServiceCore::Failure ServiceCore::threads_error(std::uint32_t cores,
+                                               const std::string& machine,
+                                               std::uint32_t threads) {
+  if (threads <= cores) return {};
+  return {errcode::kBadRequest, "threads=" + std::to_string(threads) +
+                                    " exceeds " + machine + "'s " +
+                                    std::to_string(cores) + " cores"};
+}
+
+HandleResult ServiceCore::handle(const Request& r, const RequestContext* ctx) {
   HandleResult out;
   if (r.kind == RequestKind::kPing) {
     out.response = make_result_response(r, "{\"pong\":true}");
@@ -194,31 +192,28 @@ ServiceCore::HandleResult ServiceCore::handle(const Request& r,
     }
   }
 
-  std::string error;
-  std::string error_code;
+  Failure failure;
   std::string result;
   switch (r.kind) {
-    case RequestKind::kPredict: result = run_predict(r.point, &error); break;
-    case RequestKind::kAdvise: result = run_advise(r.advise, &error); break;
+    case RequestKind::kPredict: result = run_predict(r.point, &failure); break;
+    case RequestKind::kAdvise: result = run_advise(r.advise, &failure); break;
     case RequestKind::kCalibrate:
-      result = run_calibrate(r.calibrate, &error);
+      result = run_calibrate(r.calibrate, &failure);
       break;
     case RequestKind::kSimulate:
-      result = run_simulate(r.point, &error, ctx);
+      result = run_simulate(r.point, &failure, ctx);
       break;
     case RequestKind::kRunGuest:
-      result = run_guest(r.guest, &error, &error_code, ctx);
+      result = run_guest(r.guest, &failure, ctx);
       break;
     case RequestKind::kStats:
     case RequestKind::kPing:
     case RequestKind::kMetrics:
-      error = "kind not handled by ServiceCore";
+      failure = {errcode::kBadRequest, "kind not handled by ServiceCore"};
       break;
   }
-  if (!error.empty()) {
-    out.response = error_code.empty()
-                       ? make_error_response(r.id, error)
-                       : make_error_response(r.id, error_code, error);
+  if (failure.code != nullptr) {
+    out.response = make_error_response(r.id, failure.code, failure.message);
     out.ok = false;
     return out;
   }
@@ -227,10 +222,10 @@ ServiceCore::HandleResult ServiceCore::handle(const Request& r,
   return out;
 }
 
-std::string ServiceCore::run_predict(const PointQuery& q, std::string* error) {
+std::string ServiceCore::run_predict(const PointQuery& q, Failure* failure) {
   const model::BouncingModel& model = model_for(q.machine);
-  *error = threads_error(model, q.machine, q.threads);
-  if (!error->empty()) return "";
+  *failure = threads_error(model.params().cores, q.machine, q.threads);
+  if (failure->code != nullptr) return "";
   model::Prediction p;
   if (q.mode == "private") {
     p = model.predict_private(q.prim, q.threads, q.work);
@@ -248,10 +243,10 @@ std::string ServiceCore::run_predict(const PointQuery& q, std::string* error) {
   return os.str();
 }
 
-std::string ServiceCore::run_advise(const AdviseQuery& q, std::string* error) {
+std::string ServiceCore::run_advise(const AdviseQuery& q, Failure* failure) {
   const model::BouncingModel& model = model_for(q.machine);
-  *error = threads_error(model, q.machine, q.threads);
-  if (!error->empty()) return "";
+  *failure = threads_error(model.params().cores, q.machine, q.threads);
+  if (failure->code != nullptr) return "";
   std::ostringstream os;
   JsonWriter w(os);
   if (q.target == "backoff") {
@@ -273,7 +268,7 @@ std::string ServiceCore::run_advise(const AdviseQuery& q, std::string* error) {
 }
 
 std::string ServiceCore::run_calibrate(const CalibrateQuery& q,
-                                       std::string* error) {
+                                       Failure* failure) {
   const sim::MachineConfig mc = machine_for(q.machine);
   const model::ModelParams skeleton = model::ModelParams::from_machine(mc);
   SampleReplayBackend backend(q, mc.cores, mc.freq_ghz);
@@ -287,21 +282,20 @@ std::string ServiceCore::run_calibrate(const CalibrateQuery& q,
       options.sweep_threads.push_back(s.threads);
     }
   }
-  if (options.sweep_threads.empty()) {
-    // Without an explicit sweep, calibrate() would probe its default thread
-    // counts against the replay backend's zero-op blanks and fit noise.
+  // Without an explicit sweep, calibrate() would probe its default thread
+  // counts against the replay backend's zero-op blanks and fit noise.
+  model::Calibration cal;
+  if (!options.sweep_threads.empty()) {
+    cal = model::calibrate(backend, skeleton, options);
+    // The replay backend routed its runs into the process-wide run log (the
+    // daemon never reads it); drop them so a long-lived server stays
+    // bounded.
     bench::clear_run_log();
-    *error = "calibration failed: need at least one shared FAA sample with "
-             "threads >= 2 plus private local-cost samples";
-    return "";
   }
-  const model::Calibration cal = model::calibrate(backend, skeleton, options);
-  // The replay backend routed its runs into the process-wide run log (the
-  // daemon never reads it); drop them so a long-lived server stays bounded.
-  bench::clear_run_log();
   if (!cal.ok) {
-    *error = "calibration failed: need at least one shared FAA sample with "
-             "threads >= 2 plus private local-cost samples";
+    *failure = {errcode::kBadRequest,
+                "calibration failed: need at least one shared FAA sample "
+                "with threads >= 2 plus private local-cost samples"};
     return "";
   }
 
@@ -325,8 +319,8 @@ std::string ServiceCore::run_calibrate(const CalibrateQuery& q,
     w.kv(to_string(p), cal.local_cost[static_cast<std::size_t>(p)]);
   }
   w.end_object();
-  // The calibrated parameter set in the amp1 persistence format: clients
-  // save this once and load it in later runs (params_io round-trips it).
+  // The calibrated parameter set in the amp1 export format (params_io.hpp),
+  // for clients to archive or diff.
   std::ostringstream amp;
   model::save_params(cal.apply_to(skeleton), amp);
   w.kv("amp1", amp.str());
@@ -347,14 +341,11 @@ bench::WorkloadConfig simulate_workload(const PointQuery& q) {
   return workload;
 }
 
-std::string ServiceCore::run_simulate(const PointQuery& q, std::string* error,
+std::string ServiceCore::run_simulate(const PointQuery& q, Failure* failure,
                                       const RequestContext* ctx) {
   const sim::MachineConfig mc = machine_for(q.machine);
-  if (q.threads > mc.cores) {
-    *error = "threads=" + std::to_string(q.threads) + " exceeds " + q.machine +
-             "'s " + std::to_string(mc.cores) + " cores";
-    return "";
-  }
+  *failure = threads_error(mc.cores, q.machine, q.threads);
+  if (failure->code != nullptr) return "";
 
   const bench::WorkloadConfig workload = simulate_workload(q);
 
@@ -393,15 +384,17 @@ std::string ServiceCore::run_simulate(const PointQuery& q, std::string* error,
   const bench::PointOutcome outcome = engine.outcome(index);
   const bench::MeasuredRun* run = engine.result_or_null(index);
   if (run == nullptr) {
-    *error = std::string("simulation ") + bench::to_string(outcome.status) +
-             (outcome.message.empty() ? "" : ": " + outcome.message);
+    *failure = {outcome.status == bench::PointStatus::kTimeout
+                    ? errcode::kTimeout
+                    : errcode::kSimError,
+                std::string("simulation ") + bench::to_string(outcome.status) +
+                    (outcome.message.empty() ? "" : ": " + outcome.message)};
     return "";
   }
   return render_simulate_result(q, *run);
 }
 
-std::string ServiceCore::run_guest(const GuestQuery& q, std::string* error,
-                                   std::string* error_code,
+std::string ServiceCore::run_guest(const GuestQuery& q, Failure* failure,
                                    const RequestContext* ctx) {
   // Per-request counters; registration is idempotent, so resolving them
   // here (the cold path — a cache hit never reaches run_guest) is fine.
@@ -440,8 +433,8 @@ std::string ServiceCore::run_guest(const GuestQuery& q, std::string* error,
   if (cycles != nullptr) cycles->inc(result.completion_cycles);
   if (!result.error.ok()) {
     if (errors != nullptr) errors->inc();
-    *error = result.error.code + ": " + result.error.message;
-    *error_code = errcode::kGuestError;
+    *failure = {errcode::kGuestError,
+                result.error.code + ": " + result.error.message};
     return "";
   }
 

@@ -105,15 +105,11 @@ class ServiceCore final : public RequestHandler {
  public:
   explicit ServiceCore(ServiceConfig config);
 
-  /// Back-compat alias: callers historically named the result through the
-  /// class (ServiceCore::HandleResult).
-  using HandleResult = am::service::HandleResult;
-
   /// Executes @p r (any kind except kStats/kMetrics, which need server-wide
   /// state and are answered by the Server). Never throws: failures become
-  /// error envelopes. @p ctx is optional observability context; it never
-  /// affects response bytes (responses stay byte-identical with and without
-  /// tracing attached).
+  /// coded error envelopes. @p ctx is optional observability context; it
+  /// never affects response bytes (responses stay byte-identical with and
+  /// without tracing attached).
   HandleResult handle(const Request& r, const RequestContext* ctx = nullptr);
 
   HandleResult handle(const Request& r, std::string_view raw,
@@ -129,18 +125,25 @@ class ServiceCore final : public RequestHandler {
   const ServiceConfig& config() const noexcept { return config_; }
 
  private:
+  /// Why a request failed: the code and message of its error envelope.
+  struct Failure {
+    const char* code = nullptr;  ///< an errcode constant; null = no failure
+    std::string message;
+  };
+
+  /// A bad_request for a thread count the machine does not have (no code
+  /// when it fits).
+  static Failure threads_error(std::uint32_t cores, const std::string& machine,
+                               std::uint32_t threads);
   /// The shared model of a validated machine name, built on first use.
   const model::BouncingModel& model_for(const std::string& machine);
-  std::string run_predict(const PointQuery& q, std::string* error);
-  std::string run_advise(const AdviseQuery& q, std::string* error);
-  std::string run_calibrate(const CalibrateQuery& q, std::string* error);
-  std::string run_simulate(const PointQuery& q, std::string* error,
+  std::string run_predict(const PointQuery& q, Failure* failure);
+  std::string run_advise(const AdviseQuery& q, Failure* failure);
+  std::string run_calibrate(const CalibrateQuery& q, Failure* failure);
+  std::string run_simulate(const PointQuery& q, Failure* failure,
                            const RequestContext* ctx);
-  /// On failure sets @p error_code to errcode::kGuestError and @p error to
-  /// "<guest code>: <message>" — guest failures are coded so clients can
-  /// tell a broken binary from an unhealthy service.
-  std::string run_guest(const GuestQuery& q, std::string* error,
-                        std::string* error_code, const RequestContext* ctx);
+  std::string run_guest(const GuestQuery& q, Failure* failure,
+                        const RequestContext* ctx);
 
   ServiceConfig config_;
   ShardedLruCache cache_;

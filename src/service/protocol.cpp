@@ -439,16 +439,6 @@ std::string make_result_response(const Request& r,
   return out;
 }
 
-std::string make_error_response(const std::string& id,
-                                const std::string& message) {
-  std::string out = "{\"v\":\"";
-  out += kProtocolVersion;
-  out += "\"";
-  if (!id.empty()) out += ",\"id\":\"" + json_escape(id) + "\"";
-  out += ",\"ok\":false,\"error\":\"" + json_escape(message) + "\"}\n";
-  return out;
-}
-
 std::string make_error_response(const std::string& id, const std::string& code,
                                 const std::string& message) {
   std::string out = "{\"v\":\"";

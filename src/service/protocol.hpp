@@ -148,24 +148,27 @@ std::uint64_t chain_hash(std::string_view bytes,
 
 // --- response envelopes ------------------------------------------------------
 // Responses keep a fixed member order so identical results serialize to
-// identical bytes: {"v","id"?,"kind","ok",("result"|"error")}.
+// identical bytes: {"v","id"?,"kind","ok","result"} on success and
+// {"v","id"?,"ok","code","error"} on failure.
 
 /// Success envelope wrapping an already-serialized result object.
 std::string make_result_response(const Request& r,
                                  const std::string& result_json);
 
-/// Error envelope; @p id may be empty (omitted from the line).
-std::string make_error_response(const std::string& id,
-                                const std::string& message);
-
-// Machine-readable error codes carried in coded error envelopes. Plain
-// handler errors (bad request members, simulation failures) stay uncoded;
-// codes name *serving-layer* conditions a client is expected to branch on
-// (retry, back off, shrink the request).
+// Machine-readable error codes. Every error envelope carries one, so clients
+// branch on the code (fix the request, retry, back off, shrink it) instead
+// of parsing the human-readable message.
 namespace errcode {
+/// The line did not parse, or a member failed validation (threads beyond
+/// the machine's cores, too few calibration samples, a kind the handler
+/// does not serve).
+inline constexpr const char* kBadRequest = "bad_request";
 inline constexpr const char* kOverloaded = "overloaded";
 inline constexpr const char* kUnavailable = "unavailable";
+/// A simulate run stopped by its watchdog (cycle budget or no progress).
 inline constexpr const char* kTimeout = "timeout";
+/// A simulate run that failed for any other reason.
+inline constexpr const char* kSimError = "sim_error";
 inline constexpr const char* kRequestTooLarge = "request_too_large";
 /// run_guest failures that are properties of the *guest binary or its
 /// execution* (bad ELF, illegal instruction, cycle budget), as opposed to a
@@ -174,14 +177,13 @@ inline constexpr const char* kRequestTooLarge = "request_too_large";
 inline constexpr const char* kGuestError = "guest_error";
 }  // namespace errcode
 
-/// Coded error envelope: {"v","id"?,"ok":false,"code","error"}. @p code is
-/// one of the errcode constants; clients dispatch on it instead of parsing
-/// the human-readable message.
+/// Error envelope: {"v","id"?,"ok":false,"code","error"}. @p id may be empty
+/// (omitted from the line); @p code is one of the errcode constants.
 std::string make_error_response(const std::string& id, const std::string& code,
                                 const std::string& message);
 
-/// The "code" member of an error envelope line, or empty when absent (plain
-/// errors, success envelopes, unparseable lines).
+/// The "code" member of an error envelope line, or empty when absent
+/// (success envelopes, unparseable lines).
 std::string response_error_code(std::string_view response_line);
 
 }  // namespace am::service

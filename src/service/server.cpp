@@ -448,7 +448,7 @@ void Server::process(std::shared_ptr<Connection> conn) {
   std::string parse_error;
   const std::optional<Request> request = parse_request(line, &parse_error);
   if (!request.has_value()) {
-    response = make_error_response("", parse_error);
+    response = make_error_response("", errcode::kBadRequest, parse_error);
     ok = false;
     std::lock_guard<std::mutex> slock(stats_mu_);
     ++parse_errors_;

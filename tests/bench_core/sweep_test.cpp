@@ -100,16 +100,16 @@ struct TempDir {
 };
 
 TEST(PointSeed, DeterministicDistinctAndNeverZero) {
-  EXPECT_EQ(point_seed(1, 0), point_seed(1, 0));
+  EXPECT_EQ(sweep_point_seed(1, 0), sweep_point_seed(1, 0));
   std::vector<std::uint64_t> seen;
   for (std::uint64_t i = 0; i < 1000; ++i) {
-    const std::uint64_t s = point_seed(7, i);
+    const std::uint64_t s = sweep_point_seed(7, i);
     EXPECT_NE(s, 0u);
     seen.push_back(s);
   }
   std::sort(seen.begin(), seen.end());
   EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end());
-  EXPECT_NE(point_seed(1, 3), point_seed(2, 3));
+  EXPECT_NE(sweep_point_seed(1, 3), sweep_point_seed(2, 3));
 }
 
 // The golden test: the same grid at jobs=1 and jobs=8 must produce
@@ -123,7 +123,8 @@ TEST(SweepDeterminism, RunLogIdenticalAcrossJobs) {
 }
 
 // Any pooled point is replayable in isolation: same preset, same workload,
-// seed = point_seed(base, i) reproduces the pooled MeasuredRun bit-exactly.
+// seed = sweep_point_seed(base, i) reproduces the pooled MeasuredRun
+// bit-exactly.
 TEST(SweepDeterminism, PerPointReplayReproducesPooledResult) {
   clear_run_log();
   SweepOptions opts;
@@ -136,7 +137,7 @@ TEST(SweepDeterminism, PerPointReplayReproducesPooledResult) {
 
   for (std::size_t i = 0; i < grid.size(); ++i) {
     SimBackend replay(sim::preset_by_name("test"), kFastSim,
-                      point_seed(42, i));
+                      sweep_point_seed(42, i));
     std::vector<RecordedRun> local;
     replay.set_run_recorder(&local);
     const MeasuredRun rerun = replay.run(grid[i]);
@@ -306,7 +307,8 @@ TEST(SweepStress, MixedPointsAndTasksKeepSubmissionOrder) {
     EXPECT_EQ(rec.workload.seed, expect_seed) << "slot " << i;
     ASSERT_EQ(rec.run.threads.size(), 1u);
     EXPECT_EQ(rec.run.threads[0].ops,
-              point_seed(9, static_cast<std::uint64_t>(i)) ^ expect_seed)
+              sweep_point_seed(9, static_cast<std::uint64_t>(i)) ^
+                  expect_seed)
         << "slot " << i << " ran under the wrong point seed";
   }
   clear_run_log();
@@ -407,7 +409,7 @@ TEST(SweepFailureIsolation, FailedPointsDegradeSurvivorsIntact) {
   EXPECT_EQ(failed[0].status, PointStatus::kSimError);
   EXPECT_EQ(failed[1].index, 5u);
   EXPECT_EQ(failed[1].status, PointStatus::kTimeout);
-  EXPECT_EQ(failed[0].seed, point_seed(5, 2));
+  EXPECT_EQ(failed[0].seed, sweep_point_seed(5, 2));
   clear_run_log();
 }
 
@@ -672,7 +674,8 @@ TEST(SweepReplay, ReplayPointRunsExactlyOneBypassingCache) {
   ASSERT_NE(engine.result_or_null(2), nullptr);
 
   // The replayed result equals the original pooled one bit-exactly.
-  SimBackend reference(sim::preset_by_name("test"), kFastSim, point_seed(42, 2));
+  SimBackend reference(sim::preset_by_name("test"), kFastSim,
+                       sweep_point_seed(42, 2));
   std::vector<RecordedRun> local;
   reference.set_run_recorder(&local);
   const MeasuredRun expect = reference.run(grid[2]);

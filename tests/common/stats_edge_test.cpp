@@ -20,29 +20,29 @@ namespace {
 TEST(StatsEdge, PercentileEmptySampleIsZero) {
   const std::vector<double> none;
   for (double q : {0.0, 50.0, 99.0, 100.0}) {
-    EXPECT_EQ(percentile(none, q), 0.0) << "q=" << q;
+    EXPECT_EQ(sorted_percentile(none, q), 0.0) << "q=" << q;
   }
 }
 
 TEST(StatsEdge, PercentileSingleton) {
   const std::vector<double> one{42.0};
   for (double q : {0.0, 50.0, 90.0, 99.0, 100.0}) {
-    EXPECT_EQ(percentile(one, q), 42.0) << "q=" << q;
+    EXPECT_EQ(sorted_percentile(one, q), 42.0) << "q=" << q;
   }
 }
 
 TEST(StatsEdge, PercentilePair) {
   const std::vector<double> two{10.0, 20.0};
-  EXPECT_EQ(percentile(two, 0.0), 10.0);
-  EXPECT_EQ(percentile(two, 50.0), 15.0);  // linear interpolation
-  EXPECT_EQ(percentile(two, 100.0), 20.0);
-  EXPECT_NEAR(percentile(two, 99.0), 19.9, 1e-9);
+  EXPECT_EQ(sorted_percentile(two, 0.0), 10.0);
+  EXPECT_EQ(sorted_percentile(two, 50.0), 15.0);  // linear interpolation
+  EXPECT_EQ(sorted_percentile(two, 100.0), 20.0);
+  EXPECT_NEAR(sorted_percentile(two, 99.0), 19.9, 1e-9);
 }
 
 TEST(StatsEdge, PercentileOutOfRangeQClamps) {
-  const std::vector<double> v{3.0, 1.0, 2.0};
-  EXPECT_EQ(percentile(v, -5.0), 1.0);
-  EXPECT_EQ(percentile(v, 250.0), 3.0);
+  const std::vector<double> v{1.0, 2.0, 3.0};
+  EXPECT_EQ(sorted_percentile(v, -5.0), 1.0);
+  EXPECT_EQ(sorted_percentile(v, 250.0), 3.0);
 }
 
 TEST(StatsEdge, SummarizeEmptyIsAllZeroFinite) {

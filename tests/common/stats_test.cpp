@@ -29,10 +29,10 @@ TEST(Summary, EmptyAndSingleton) {
 
 TEST(Percentile, Interpolation) {
   const std::vector<double> v{10, 20, 30, 40};
-  EXPECT_DOUBLE_EQ(percentile(v, 0), 10.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 100), 40.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 50), 25.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 25), 17.5);
+  EXPECT_DOUBLE_EQ(sorted_percentile(v, 0), 10.0);
+  EXPECT_DOUBLE_EQ(sorted_percentile(v, 100), 40.0);
+  EXPECT_DOUBLE_EQ(sorted_percentile(v, 50), 25.0);
+  EXPECT_DOUBLE_EQ(sorted_percentile(v, 25), 17.5);
 }
 
 TEST(Fairness, JainIndexExtremes) {

@@ -14,7 +14,7 @@ TEST(HashRing, OwnerIsDeterministicAcrossInstances) {
   HashRing a(4), b(4);
   for (int i = 0; i < 200; ++i) {
     const std::string key = "canonical-request-" + std::to_string(i);
-    EXPECT_EQ(a.owner(key), b.owner(key));
+    EXPECT_EQ(a.route_order(key), b.route_order(key));
   }
 }
 
@@ -25,21 +25,20 @@ TEST(HashRing, OwnerIsStableWhenRebuiltAtSameSize) {
   std::map<std::string, std::size_t> assignment;
   for (int i = 0; i < 500; ++i) {
     const std::string key = "k" + std::to_string(i);
-    assignment[key] = first.owner(key);
+    assignment[key] = first.route_order(key).front();
   }
   HashRing rebuilt(8);
   for (const auto& [key, owner] : assignment) {
-    EXPECT_EQ(rebuilt.owner(key), owner);
+    EXPECT_EQ(rebuilt.route_order(key).front(), owner);
   }
 }
 
-TEST(HashRing, RouteOrderListsEachWorkerOnceStartingWithOwner) {
+TEST(HashRing, RouteOrderListsEachWorkerOnce) {
   HashRing ring(5);
   for (int i = 0; i < 100; ++i) {
     const std::string key = "key-" + std::to_string(i);
     const std::vector<std::size_t> order = ring.route_order(key);
     ASSERT_EQ(order.size(), 5u);
-    EXPECT_EQ(order.front(), ring.owner(key));
     const std::set<std::size_t> distinct(order.begin(), order.end());
     EXPECT_EQ(distinct.size(), 5u);
   }
@@ -64,7 +63,6 @@ TEST(HashRing, SingleWorkerOwnsEverything) {
   HashRing ring(1);
   for (int i = 0; i < 50; ++i) {
     const std::string key = "x" + std::to_string(i);
-    EXPECT_EQ(ring.owner(key), 0u);
     EXPECT_EQ(ring.route_order(key), std::vector<std::size_t>{0});
   }
 }
@@ -73,7 +71,7 @@ TEST(HashRing, KeysSpreadAcrossWorkers) {
   HashRing ring(4);
   std::set<std::size_t> seen;
   for (int i = 0; i < 200; ++i) {
-    seen.insert(ring.owner("spread-" + std::to_string(i)));
+    seen.insert(ring.route_order("spread-" + std::to_string(i)).front());
   }
   EXPECT_EQ(seen.size(), 4u);  // 200 keys must touch all 4 shards
 }

@@ -11,6 +11,15 @@
 
 namespace m = am::obs::metrics;
 
+namespace {
+std::string render(const m::Registry& reg) {
+  std::string out;
+  m::PromWriter w(out);
+  m::render_prometheus(reg, w);
+  return out;
+}
+}  // namespace
+
 TEST(RenderPrometheus, GoldenOutput) {
   m::Registry reg;
   reg.counter("am_requests_total", "requests by kind", {{"kind", "ping"}})
@@ -41,7 +50,7 @@ TEST(RenderPrometheus, GoldenOutput) {
       "# HELP am_uptime_seconds seconds since start\n"
       "# TYPE am_uptime_seconds gauge\n"
       "am_uptime_seconds 12.5\n";
-  EXPECT_EQ(m::render_prometheus(reg), expected);
+  EXPECT_EQ(render(reg), expected);
 }
 
 TEST(RenderPrometheus, ParseRoundTrip) {
@@ -51,7 +60,7 @@ TEST(RenderPrometheus, ParseRoundTrip) {
   m::Histogram& h = reg.histogram("lat", "h");
   for (int i = 0; i < 10; ++i) h.observe(100);
 
-  const auto samples = m::parse_prometheus_text(m::render_prometheus(reg));
+  const auto samples = m::parse_prometheus_text(render(reg));
   EXPECT_EQ(m::find_sample(samples, "reqs_total", {{"kind", "ping"}}),
             42.0);
   EXPECT_EQ(m::find_sample(samples, "temp"), -3.25);

@@ -63,9 +63,8 @@ TEST(RollingWindows, RingEvictsOldestBeyondCapacity) {
     windows.sample(t * 1000);
     c.inc(10);
   }
-  EXPECT_EQ(windows.samples(), 4u);
-  // Oldest surviving snapshot is t=6s (value 60); a huge window clamps to
-  // it: delta = 100 - 60 over 3s.
+  // Only the newest 4 snapshots survive, so the oldest is t=6s (value 60);
+  // a huge window clamps to it: delta = 100 - 60 over 3s.
   auto d = windows.delta(c, 1000.0, 9000);
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->count, 40u);
@@ -78,11 +77,15 @@ TEST(RollingWindows, OutOfOrderSampleIgnored) {
   m::RollingWindows windows(reg, 8);
   windows.sample(1000);
   windows.sample(500);  // stale stamp: dropped
-  EXPECT_EQ(windows.samples(), 1u);
   c.inc(7);
   auto d = windows.delta(c, 10.0, 2000);
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->count, 7u);
+  // Had t=500 been kept it would be the baseline of a 1s window at 1.5s;
+  // the only snapshot is t=1000, so the window covers 0.5s.
+  d = windows.delta(c, 1.0, 1500);
+  ASSERT_TRUE(d.has_value());
+  EXPECT_DOUBLE_EQ(d->seconds, 0.5);
 }
 
 TEST(RollingWindows, HistogramWindowSeesOnlyRecentObservations) {

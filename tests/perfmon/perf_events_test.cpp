@@ -9,12 +9,6 @@
 namespace am {
 namespace {
 
-TEST(PerfEvents, Names) {
-  EXPECT_STREQ(to_string(PerfEvent::kCycles), "cycles");
-  EXPECT_STREQ(to_string(PerfEvent::kCacheMisses), "cache-misses");
-  EXPECT_STREQ(to_string(PerfEvent::kTaskClockNs), "task-clock");
-}
-
 TEST(PerfEvents, LifecycleNeverThrows) {
   PerfCounterGroup g({PerfEvent::kCycles, PerfEvent::kInstructions,
                       PerfEvent::kTaskClockNs});

@@ -164,13 +164,14 @@ TEST(Envelopes, ResultAndErrorShape) {
   EXPECT_TRUE(doc->find("ok")->as_bool());
   EXPECT_TRUE(doc->find("result")->find("pong")->as_bool());
 
-  const std::string err = make_error_response("", "bad \"thing\"\n");
-  const auto edoc =
-      JsonValue::parse(std::string_view(err.data(), err.size() - 1));
-  ASSERT_TRUE(edoc.has_value()) << err;
-  EXPECT_FALSE(edoc->find("ok")->as_bool());
-  EXPECT_EQ(edoc->find("error")->as_string(), "bad \"thing\"\n");
-  EXPECT_EQ(edoc->find("id"), nullptr);  // empty id omitted
+  // Error envelopes always carry a code; an empty id is omitted.
+  const std::string err =
+      make_error_response("", errcode::kBadRequest, "bad \"thing\"\n");
+  EXPECT_EQ(err,
+            R"({"v":"am-serve/1","ok":false,"code":"bad_request",)"
+            R"("error":"bad \"thing\"\n"})"
+            "\n");
+  EXPECT_EQ(response_error_code(err), errcode::kBadRequest);
 }
 
 }  // namespace

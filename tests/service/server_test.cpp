@@ -58,7 +58,7 @@ TEST(ServiceCore, ThreadsBeyondMachineCoresIsAnError) {
   const auto r = core.handle(parse_or_die(
       R"({"kind":"predict","machine":"test","prim":"FAA","threads":5})"));
   EXPECT_FALSE(r.ok);
-  EXPECT_NE(r.response.find("\"error\""), std::string::npos);
+  EXPECT_EQ(response_error_code(r.response), errcode::kBadRequest);
   EXPECT_NE(r.response.find("4 cores"), std::string::npos);
 }
 

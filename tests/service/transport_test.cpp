@@ -88,20 +88,19 @@ TEST(Protocol, CodedErrorEnvelopeRoundTrips) {
   EXPECT_NE(line.find("\"error\":\"try later\""), std::string::npos);
 }
 
-TEST(Protocol, UncodedErrorEnvelopeHasNoCode) {
-  const std::string line = make_error_response("req-9", "plain message");
-  EXPECT_EQ(response_error_code(line), "");
-  EXPECT_NE(line.find("\"ok\":false"), std::string::npos);
-}
-
 TEST(Protocol, SuccessEnvelopeHasNoCode) {
   EXPECT_EQ(response_error_code(
                 R"({"v":"am-serve/1","ok":true,"result":{"pong":true}})"),
             "");
 }
 
-TEST(Server, OversizedRequestLineGetsStructuredTooLarge) {
-  ServiceCore core({});
+// Every failure reaches the client as a coded envelope: a line that does not
+// parse, a request that fails validation, a simulate the watchdog stops, and
+// (last, since the server then hangs up) a line over the size cap.
+TEST(Server, EveryErrorEnvelopeCarriesACode) {
+  ServiceConfig core_config;
+  core_config.max_point_cycles = 100;  // every simulate hits the watchdog
+  ServiceCore core(core_config);
   ServerConfig config;
   Endpoint ep;
   ep.host = "127.0.0.1";
@@ -116,11 +115,20 @@ TEST(Server, OversizedRequestLineGetsStructuredTooLarge) {
   ServiceClient client;
   ASSERT_TRUE(client.connect(server.bound_endpoints().front(), &error))
       << error;
-  const std::string oversized =
-      R"({"kind":"predict","junk":")" + std::string(4096, 'z') + "\"}";
-  const auto response = client.roundtrip(oversized, &error);
-  ASSERT_TRUE(response.has_value()) << error;
-  EXPECT_EQ(response_error_code(*response), errcode::kRequestTooLarge);
+  const auto code_of = [&](const std::string& line) {
+    const auto response = client.roundtrip(line, &error);
+    EXPECT_TRUE(response.has_value()) << line << " -> " << error;
+    return response_error_code(response.value_or(""));
+  };
+  EXPECT_EQ(code_of("this is not json"), errcode::kBadRequest);
+  EXPECT_EQ(code_of(R"({"kind":"predict","machine":"xeon","threads":40})"),
+            errcode::kBadRequest);
+  EXPECT_EQ(code_of(R"({"kind":"simulate","machine":"test","prim":"FAA",)"
+                    R"("threads":4})"),
+            errcode::kTimeout);
+  EXPECT_EQ(code_of(R"({"kind":"predict","junk":")" + std::string(4096, 'z') +
+                    "\"}"),
+            errcode::kRequestTooLarge);
 
   Server::request_shutdown();
   server.wait();

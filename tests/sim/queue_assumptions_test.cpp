@@ -33,14 +33,16 @@ namespace {
 
 MachineConfig tiny() { return test_machine(4, 100, 4, 200); }
 
-/// Runs a work=0 FAA hot line under @p wd and returns the PointTimeout it
-/// must raise.
-PointTimeout expect_timeout(WatchdogConfig wd) {
+/// Runs a work=0 FAA hot line on @p threads cores of @p cfg under @p wd and
+/// returns the PointTimeout it must raise.
+PointTimeout expect_timeout(WatchdogConfig wd,
+                            const MachineConfig& cfg = tiny(),
+                            CoreId threads = 4) {
   HighContentionProgram prog(Primitive::kFaa, 0, 0, 0.0);
-  Machine m(tiny(), 1);
+  Machine m(cfg, 1);
   m.set_watchdog(wd);
   try {
-    m.run(prog, 4, 1'000, 10'000);
+    m.run(prog, threads, 1'000, 10'000);
   } catch (const PointTimeout& e) {
     return e;
   }
@@ -68,6 +70,24 @@ TEST(QueueAssumptions, NoProgressTimeoutIsPinned) {
   EXPECT_EQ(t.kind, PointTimeout::Kind::kNoProgress);
   EXPECT_EQ(t.at_cycle, 0u);
   EXPECT_EQ(t.events_processed, 1u);
+}
+
+TEST(QueueAssumptions, MidBurstTimeoutIsPinned) {
+  // The two pins above fire before any same-time tie resolves. Here eight
+  // work=0 cores keep issuing at shared timestamps for 2000 cycles, and on
+  // the KNL mesh a grant's cost depends on which core wins it, so the cycle
+  // of the event that crosses the budget follows the tie order of every
+  // burst dispatched until then. (On the uniform tiny() machine every tie
+  // order gives the same timeline, which is why this pin uses the mesh.)
+  // Unlike the literals above, these were captured from the fast-path core
+  // after the seed core was retired.
+  const PointTimeout t = expect_timeout(
+      {/*max_cycles=*/2'000, /*progress_events=*/0}, knl_64(), 8);
+  EXPECT_EQ(t.kind, PointTimeout::Kind::kCycleBudget);
+  EXPECT_EQ(t.at_cycle, 2172u);
+  EXPECT_EQ(t.events_processed, 43u);
+  EXPECT_STREQ(t.what(),
+               "watchdog: cycle budget exceeded at cycle 2172 after 43 events");
 }
 
 TEST(QueueAssumptions, SameTimeBurstIsFifoAcrossCores) {
